@@ -167,8 +167,8 @@ func TestGroupByHashAndChunk(t *testing.T) {
 // TestFamilyDispatchDistribution pins the family-affinity routing
 // contract: every member of a parametric family shares one affinity group
 // (keyed by the family template, not the per-member content hash), so the
-// whole family routes to a single worker where each member can warm-start
-// from its neighbor — while distinct families still spread across the
+// whole family routes to a single worker that runs its members in
+// parameter order — while distinct families still spread across the
 // cluster, and a literal (non-parametric) spec keeps its own
 // content-hash group.
 func TestFamilyDispatchDistribution(t *testing.T) {
@@ -209,20 +209,20 @@ func TestFamilyDispatchDistribution(t *testing.T) {
 			t.Fatalf("%s group has %d cells, want 5", fam, len(members))
 		}
 		for i, c := range members {
-			if c.Request.Family == "" {
+			if c.Family == "" {
 				t.Fatalf("%s cell %d carries no family identity", fam, i)
 			}
-			if i > 0 && members[i-1].Request.FamilyParam >= c.Request.FamilyParam {
+			if i > 0 && *members[i-1].Param >= *c.Param {
 				t.Fatalf("%s members out of param order: %d then %d",
-					fam, members[i-1].Request.FamilyParam, c.Request.FamilyParam)
+					fam, *members[i-1].Param, *c.Param)
 			}
 		}
 	}
 	delete(byKey, "family:flock:{N}")
 	delete(byKey, "family:binary:{N}")
 	for key, rest := range byKey { // the literal group
-		if len(rest) != 1 || rest[0].Request.Family != "" {
-			t.Fatalf("literal group %q: %d cells, family %q", key, len(rest), rest[0].Request.Family)
+		if len(rest) != 1 || rest[0].Family != "" {
+			t.Fatalf("literal group %q: %d cells, family %q", key, len(rest), rest[0].Family)
 		}
 	}
 

@@ -29,16 +29,17 @@ func EngineResolver(eng *engine.Engine) Resolver {
 	}
 }
 
-// refKey is the memoization key of a protocol reference: cheap to compute
-// per cell, stable across cells of the same reference. Family-declaring
-// cells key by the family template, so every member of a parametric family
-// shares one key — and therefore one affinity group — which is what lets
-// the worker that owns the family warm-start each member from its
-// neighbor instead of every member landing cold on a different worker.
-func refKey(req engine.Request) string {
+// refKey is the memoization key of a cell's protocol reference: cheap to
+// compute per cell, stable across cells of the same reference. Family cells
+// key by the family template, so every member of a parametric family shares
+// one key — and therefore one affinity group and one worker, which runs the
+// members in parameter order, one at a time, as sweep.Run's family chains
+// do locally (see familyChains there for why).
+func refKey(c sweep.Cell) string {
+	req := c.Request
 	switch {
-	case req.Family != "":
-		return "family:" + req.Family
+	case c.Family != "":
+		return "family:" + c.Family
 	case req.Protocol.Spec != "":
 		return "spec:" + req.Protocol.Spec
 	case len(req.Protocol.Inline) > 0:
@@ -65,10 +66,10 @@ func groupByHash(cells []sweep.Cell, resolve Resolver) ([]group, error) {
 	index := make(map[string]int)     // content hash → groups position
 	var groups []group
 	for _, c := range cells {
-		key := refKey(c.Request)
+		key := refKey(c)
 		h, ok := hashes[key]
 		if !ok {
-			if c.Request.Family != "" || c.Request.Protocol.IsZero() {
+			if c.Family != "" || c.Request.Protocol.IsZero() {
 				// Family groups route by template (their members have many
 				// content hashes by design); protocol-free cells' key is
 				// already content-determined. No resolution either way.

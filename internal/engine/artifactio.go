@@ -19,13 +19,10 @@ import (
 const (
 	ArtifactStable = "stable"
 	ArtifactBasis  = "basis"
-	// ArtifactFamily files family member indexes (family.go), keyed by the
-	// hash of the family template string rather than a protocol hash.
-	ArtifactFamily = "family"
 )
 
-// ArtifactKinds lists every artifact family the engine persists.
-var ArtifactKinds = []string{ArtifactStable, ArtifactBasis, ArtifactFamily}
+// ArtifactKinds lists every artifact kind the engine persists.
+var ArtifactKinds = []string{ArtifactStable, ArtifactBasis}
 
 // PeerFetchFunc fetches an artifact payload from a cluster peer: the raw
 // versioned encoding (already CRC-validated by the transport), or

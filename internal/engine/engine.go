@@ -69,10 +69,6 @@ type Engine struct {
 	hits     uint64
 	misses   uint64
 	computes uint64
-	// stableWorkers shards each stable-analysis fixpoint round across this
-	// many goroutines (0/1 = sequential; the result is bit-identical either
-	// way, so cached artifacts are oblivious to the setting).
-	stableWorkers int
 
 	// artstore, when set, is the disk layer under the in-memory cache:
 	// misses try it before recomputing, computed artifacts write through.
@@ -80,12 +76,6 @@ type Engine struct {
 	// See artifactio.go.
 	artstore  *store.Store
 	peerFetch PeerFetchFunc
-
-	// families indexes registered family members (template → param → hash)
-	// for the incremental warm paths; incrementalOff disables those paths
-	// (SetIncremental). See family.go.
-	families       map[string]*familyState
-	incrementalOff bool
 
 	// metrics instruments the request path and artifact cache; see
 	// metrics.go. Always non-nil.
@@ -153,26 +143,6 @@ func (e *Engine) SetCacheLimit(n int) {
 	e.mu.Lock()
 	e.maxCache = n
 	e.mu.Unlock()
-}
-
-// SetStableWorkers sets the per-analysis worker count of the backward-
-// coverability fixpoint (0 or 1 = sequential). Parallel analyses are
-// bit-identical to sequential ones — same final antichains, same element
-// order — so the setting only trades CPU for latency and never changes a
-// cached artifact.
-func (e *Engine) SetStableWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	e.mu.Lock()
-	e.stableWorkers = n
-	e.mu.Unlock()
-}
-
-func (e *Engine) stableWorkerCount() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.stableWorkers
 }
 
 // Registry returns the registry the engine resolves specs against.
@@ -318,9 +288,6 @@ func (e *Engine) do(ctx context.Context, req Request) (*Result, error) {
 		entry protocols.Entry
 		hash  string
 	)
-	if err := validateFamily(req); err != nil {
-		return nil, err
-	}
 	if !req.Protocol.IsZero() || req.Kind != KindBounds {
 		var err error
 		entry, err = e.Resolve(req.Protocol)
@@ -330,9 +297,6 @@ func (e *Engine) do(ctx context.Context, req Request) (*Result, error) {
 		hash, err = Hash(entry.Protocol)
 		if err != nil {
 			return nil, err
-		}
-		if req.Family != "" {
-			e.registerFamilyMember(req.Family, req.FamilyParam, hash)
 		}
 		info := &ProtocolInfo{
 			Name:        entry.Protocol.Name(),
@@ -396,13 +360,13 @@ func (e *Engine) dispatch(ctx context.Context, req Request, entry protocols.Entr
 	case KindVerify:
 		return e.doVerify(ctx, req, entry, res)
 	case KindStable:
-		return e.doStable(ctx, req, entry, hash, res)
+		return e.doStable(ctx, entry, hash, res)
 	case KindCertifyChain, KindCertifyLeaderless:
 		return e.doCertify(ctx, req, entry, hash, res)
 	case KindSaturate:
 		return e.doSaturate(ctx, entry, res)
 	case KindBasis:
-		return e.doBasis(ctx, req, entry, hash, res)
+		return e.doBasis(ctx, entry, hash, res)
 	case KindBounds:
 		return e.doBounds(ctx, req, entry, res)
 	case KindCover:
@@ -478,10 +442,8 @@ func (e *Engine) evictIfCurrent(hash string, a *artifacts) {
 // arrived (waiters on an in-flight computation count as misses — they pay
 // the full latency). A computation interrupted by the computing request's
 // deadline is evicted so it never poisons the cache; waiters whose own
-// context is still live retry on a fresh slot. fam, when non-nil, lets a
-// cache-and-disk miss warm-start from a family neighbor (family.go); the
-// computed artifact is identical either way.
-func (e *Engine) stableFor(ctx context.Context, p *protocol.Protocol, hash string, fam *famCtx) (*stable.Analysis, bool, error) {
+// context is still live retry on a fresh slot.
+func (e *Engine) stableFor(ctx context.Context, p *protocol.Protocol, hash string) (*stable.Analysis, bool, error) {
 	counted := false
 	count := func(hit bool) {
 		if !counted {
@@ -509,7 +471,7 @@ func (e *Engine) stableFor(ctx context.Context, p *protocol.Protocol, hash strin
 				m.val = art
 			} else {
 				e.countCompute()
-				m.val, m.err = e.computeStableWarm(ctx, p, hash, fam)
+				m.val, m.err = stable.Analyze(p, stable.Options{Interrupt: ctx.Done()})
 				if m.err == nil {
 					payload, err := encodeStableArtifact(m.val)
 					e.saveArtifact(ArtifactStable, hash, payload, err)
@@ -540,7 +502,7 @@ func (e *Engine) stableFor(ctx context.Context, p *protocol.Protocol, hash strin
 
 // basisFor memoizes the realisable basis of a protocol, with the same
 // semantics as stableFor.
-func (e *Engine) basisFor(ctx context.Context, p *protocol.Protocol, hash string, fam *famCtx) ([]realise.TransitionMultiset, bool, error) {
+func (e *Engine) basisFor(ctx context.Context, p *protocol.Protocol, hash string) ([]realise.TransitionMultiset, bool, error) {
 	counted := false
 	count := func(hit bool) {
 		if !counted {
@@ -565,7 +527,7 @@ func (e *Engine) basisFor(ctx context.Context, p *protocol.Protocol, hash string
 				m.val = basis
 			} else {
 				e.countCompute()
-				m.val, m.err = e.computeBasisWarm(ctx, p, hash, fam)
+				m.val, m.err = realise.Basis(p, dioph.Options{Interrupt: ctx.Done()})
 				if m.err == nil {
 					payload, err := encodeBasisArtifact(m.val)
 					e.saveArtifact(ArtifactBasis, hash, payload, err)
@@ -602,7 +564,7 @@ func (e *Engine) doSimulate(ctx context.Context, req Request, entry protocols.En
 	c0 := p.InitialConfig(in)
 	opts := sim.Options{Seed: req.Seed, MaxSteps: req.MaxSteps, TraceEvery: req.TraceEvery, Interrupt: ctx.Done()}
 	if req.ExactOracle {
-		a, hit, err := e.stableFor(ctx, p, hash, famCtxOf(req, res))
+		a, hit, err := e.stableFor(ctx, p, hash)
 		if err != nil {
 			return fmt.Errorf("stable-set analysis: %w", err)
 		}
@@ -710,8 +672,8 @@ func (e *Engine) doVerify(ctx context.Context, req Request, entry protocols.Entr
 	return nil
 }
 
-func (e *Engine) doStable(ctx context.Context, req Request, entry protocols.Entry, hash string, res *Result) error {
-	a, hit, err := e.stableFor(ctx, entry.Protocol, hash, famCtxOf(req, res))
+func (e *Engine) doStable(ctx context.Context, entry protocols.Entry, hash string, res *Result) error {
+	a, hit, err := e.stableFor(ctx, entry.Protocol, hash)
 	if err != nil {
 		return err
 	}
@@ -734,7 +696,7 @@ func (e *Engine) doCertify(ctx context.Context, req Request, entry protocols.Ent
 	// The finders need the stable-set analysis (and, leaderless, the
 	// realisable basis) — the exact artifacts the engine memoizes. Inject
 	// them so repeated certify requests skip the dominant recomputation.
-	analysis, hit, err := e.stableFor(ctx, p, hash, famCtxOf(req, res))
+	analysis, hit, err := e.stableFor(ctx, p, hash)
 	if err != nil {
 		return fmt.Errorf("stable-set analysis: %w", err)
 	}
@@ -757,7 +719,7 @@ func (e *Engine) doCertify(ctx context.Context, req Request, entry protocols.Ent
 		}
 		res.Certificate = &CertificateResult{Pipeline: "chain", A: cert.A, B: cert.B, Chain: cert}
 	default:
-		basis, basisHit, err := e.basisFor(ctx, p, hash, famCtxOf(req, res))
+		basis, basisHit, err := e.basisFor(ctx, p, hash)
 		if err != nil {
 			return fmt.Errorf("realisable basis: %w", err)
 		}
@@ -794,8 +756,8 @@ func (e *Engine) doSaturate(ctx context.Context, entry protocols.Entry, res *Res
 	return nil
 }
 
-func (e *Engine) doBasis(ctx context.Context, req Request, entry protocols.Entry, hash string, res *Result) error {
-	basis, hit, err := e.basisFor(ctx, entry.Protocol, hash, famCtxOf(req, res))
+func (e *Engine) doBasis(ctx context.Context, entry protocols.Entry, hash string, res *Result) error {
+	basis, hit, err := e.basisFor(ctx, entry.Protocol, hash)
 	if err != nil {
 		return err
 	}

@@ -145,11 +145,10 @@ type CoverResult struct {
 	MaxLen0 int `json:"maxLen0"`
 }
 
-// IncrementalInfo is the provenance of a warm-started artifact
-// computation: which family neighbor seeded it and what the delta path did
-// with the neighbor's elements. It is recorded only by the request that
-// actually computed the artifact — cache hits and waiters report nothing,
-// because they did no incremental work.
+// IncrementalInfo was the provenance of a warm-started artifact
+// computation. The engine no longer warm-starts anything.
+//
+// Deprecated: never set; kept so code that names the type still compiles.
 type IncrementalInfo struct {
 	// Family and Param identify the requested member.
 	Family string `json:"family"`
@@ -178,8 +177,9 @@ type Result struct {
 	// CacheHit reports whether the request was served from memoized
 	// per-protocol artifacts.
 	CacheHit bool `json:"cacheHit,omitempty"`
-	// Incremental, when set, records that an artifact this request computed
-	// was warm-started from a family neighbor (Request.Family).
+	// Incremental was the provenance of a warm-started artifact.
+	//
+	// Deprecated: never set; kept so code that clears it still compiles.
 	Incremental *IncrementalInfo `json:"incremental,omitempty"`
 
 	Simulation   *SimulationResult  `json:"simulation,omitempty"`

@@ -26,6 +26,7 @@ package ideal
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"repro/internal/multiset"
@@ -84,6 +85,42 @@ func RestoreUpSet(d int, basis []multiset.Vec) (*UpSet, error) {
 		u.index.add(int32(k), h)
 	}
 	return u, nil
+}
+
+// Less is the canonical total order on equal-dimension vectors:
+// lexicographic on coordinates. It is the order SortBasis and
+// CanonicalUpSet normalize to.
+func Less(a, b multiset.Vec) bool {
+	for i, x := range a {
+		if x != b[i] {
+			return x < b[i]
+		}
+	}
+	return false
+}
+
+// SortBasis sorts a basis in place into the canonical (lexicographic)
+// element order and returns it.
+func SortBasis(basis []multiset.Vec) []multiset.Vec {
+	sort.Slice(basis, func(i, j int) bool { return Less(basis[i], basis[j]) })
+	return basis
+}
+
+// CanonicalUpSet rebuilds an UpSet with its antichain in canonical order:
+// the same set, with arena ids assigned in SortBasis order. Two UpSets
+// denoting the same set have identical MinBasis slices after
+// canonicalization, whatever insertion histories produced them — this is
+// what makes a computed analysis and one restored from a stored artifact
+// byte-identical.
+func CanonicalUpSet(u *UpSet) *UpSet {
+	basis := SortBasis(u.MinBasis())
+	out := &UpSet{d: u.d}
+	for _, m := range basis {
+		// The input is an antichain, so every insert extends the arena and
+		// none evicts: arena order == canonical order.
+		out.Insert(m)
+	}
+	return out
 }
 
 // Dim returns the dimension d.

@@ -2,6 +2,7 @@ package ideal
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -35,6 +36,23 @@ func TestUpSetBasics(t *testing.T) {
 	}
 	if u.Norm() != 1 {
 		t.Fatalf("Norm = %d, want 1", u.Norm())
+	}
+}
+
+// TestCanonicalUpSet: two insertion histories of the same set — one with
+// a later-evicted element — canonicalize to one MinBasis in Less order.
+func TestCanonicalUpSet(t *testing.T) {
+	a := NewUpSet(3, multiset.Vec{2, 0, 1}, multiset.Vec{0, 3, 0}, multiset.Vec{1, 1, 1})
+	b := NewUpSet(3, multiset.Vec{1, 1, 2}, multiset.Vec{1, 1, 1}, multiset.Vec{0, 3, 0}, multiset.Vec{2, 0, 1})
+	ca, cb := CanonicalUpSet(a).MinBasis(), CanonicalUpSet(b).MinBasis()
+	want := []multiset.Vec{{0, 3, 0}, {1, 1, 1}, {2, 0, 1}}
+	if !reflect.DeepEqual(ca, want) || !reflect.DeepEqual(cb, want) {
+		t.Fatalf("canonical bases %v and %v, want %v", ca, cb, want)
+	}
+	for i := 1; i < len(ca); i++ {
+		if !Less(ca[i-1], ca[i]) || Less(ca[i], ca[i-1]) {
+			t.Fatalf("elements %d and %d out of Less order: %v", i-1, i, ca)
+		}
 	}
 }
 

@@ -56,28 +56,11 @@ func (s *configStore) add(c []int64) int32 {
 	return int32(s.n - 1)
 }
 
-// grow reserves room for extra more configurations and bumps n by extra;
-// the caller fills the slots with setAt (used by the parallel explorer to
-// copy a whole BFS level into the arena concurrently).
-func (s *configStore) grow(extra int) {
-	s.arena = append(s.arena, make([]int64, extra*s.dim)...)
-	s.n += extra
-}
-
-// setAt copies c into slot i (which must have been reserved with grow).
-func (s *configStore) setAt(i int32, c []int64) {
-	copy(s.at(i), c)
-}
-
 // nodeIndex maps configuration coordinates to node ids: numShards
 // open-addressing tables with linear probing, selected by the top hash
 // bits. Each slot stores the node id (+1, so the zero value is "empty")
 // and the full hash, so probe misses are rejected without touching the
 // arena and rehashing never recomputes hashes.
-//
-// Concurrency contract: lookups from many goroutines are safe while no
-// add is in flight; adds to distinct shards are safe concurrently, which
-// is what the parallel explorer's sharded insertion phase relies on.
 type nodeIndex struct {
 	shards [numShards]idxShard
 }

@@ -7,7 +7,6 @@ package reach
 // to regenerate it.
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/multiset"
@@ -50,24 +49,6 @@ func BenchmarkExploreNaive100k(b *testing.B) {
 		configs = len(g.configs)
 	}
 	b.ReportMetric(float64(configs), "configs")
-}
-
-// BenchmarkExploreParallel100k: the frontier-parallel explorer at several
-// worker counts. Scaling requires GOMAXPROCS > 1; on a single-core host
-// this measures the level-synchronization overhead instead.
-func BenchmarkExploreParallel100k(b *testing.B) {
-	e, start := benchWorkload()
-	p := e.Protocol
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := ExploreParallel(p, start, 0, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkCoverEarlyExit100k: goal-directed coverability — the BFS stops

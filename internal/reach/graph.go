@@ -16,8 +16,8 @@
 // dimension-strided in one flat arena, successor lists are a single CSR
 // (compressed sparse row) structure, and deduplication goes through an
 // open-addressing index that hashes the raw coordinates — no per-node
-// allocations on the hot path. See docs/performance.md for the layout, the
-// parallel explorer, and the determinism guarantees.
+// allocations on the hot path. See docs/performance.md for the layout and
+// the determinism guarantees.
 package reach
 
 import (
@@ -62,8 +62,7 @@ type Step struct {
 // with its transition edges. Node 0 is the start configuration; nodes are
 // numbered in BFS discovery order (by level, and within a level by the
 // (source node, transition index) of the discovering edge), so each BFS
-// level is a contiguous id range. Explore and ExploreParallel produce
-// identical numberings.
+// level is a contiguous id range.
 type Graph struct {
 	p     *protocol.Protocol
 	store configStore

@@ -63,6 +63,16 @@ func TestExploreBasics(t *testing.T) {
 	}
 }
 
+func TestExploreInterrupt(t *testing.T) {
+	e := protocols.FlockOfBirds(6)
+	p := e.Protocol
+	stop := make(chan struct{})
+	close(stop)
+	if _, err := ExploreInterruptible(p, p.InitialConfigN(30), 0, stop); !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("want ErrInterrupted, got %v", err)
+	}
+}
+
 func TestExploreLimit(t *testing.T) {
 	e := protocols.FlockOfBirds(5)
 	p := e.Protocol

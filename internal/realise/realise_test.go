@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/dioph"
+	"repro/internal/ideal"
 	"repro/internal/protocol"
 	"repro/internal/protocols"
 )
@@ -157,4 +158,34 @@ func normalize(tr protocol.Transition) protocol.Transition {
 		tr.P2, tr.Q2 = tr.Q2, tr.P2
 	}
 	return tr
+}
+
+// TestBasisCanonicalOrder: Basis returns its elements in ascending
+// lexicographic order of their Definition 4 column vectors — the order
+// certify-leaderless consumes and stored basis artifacts preserve.
+func TestBasisCanonicalOrder(t *testing.T) {
+	p := protocols.FlockOfBirds(4).Protocol
+	basis, err := Basis(p, dioph.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, cols, err := System(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vec := func(pi TransitionMultiset) []int64 {
+		v := make([]int64, len(cols))
+		for j, tr := range cols {
+			v[j] = pi[tr]
+		}
+		return v
+	}
+	if len(basis) < 2 {
+		t.Fatalf("basis has %d elements, need at least 2 to check order", len(basis))
+	}
+	for i := 1; i < len(basis); i++ {
+		if !ideal.Less(vec(basis[i-1]), vec(basis[i])) {
+			t.Fatalf("elements %d and %d out of order: %v then %v", i-1, i, basis[i-1], basis[i])
+		}
+	}
 }

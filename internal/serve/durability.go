@@ -100,7 +100,15 @@ func runSweepJournaled(ctx context.Context, eng *engine.Engine, opts Options, sp
 	if len(remaining) > 0 {
 		sub := spec
 		sub.Cells = sweep.Ranges(remaining)
-		feed := func(cr sweep.CellResult) { m.Add(cr) }
+		feed := func(cr sweep.CellResult) {
+			// A cell that failed after the sweep's context ended was most
+			// likely cut off by it: leave it out of the journal, so a resume
+			// recomputes it instead of replaying the interruption.
+			if !cr.OK && ctx.Err() != nil {
+				return
+			}
+			m.Add(cr)
+		}
 		logRange := func(worker string, rs []sweep.IndexRange) {
 			if err := j.AppendRange(worker, rs); err != nil {
 				opts.RequestLog.Warn("sweep journal range append failed", "error", err)

@@ -2,10 +2,16 @@ package serve
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -296,5 +302,129 @@ func TestArtifactEndpoint(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Fatalf("%s: status %d, want 404", path, resp.StatusCode)
 		}
+	}
+}
+
+// TestOldFamilyIndexIgnored opens an artifact directory written by a
+// server that still kept a per-family member index under the "family"
+// artifact kind (key: hex SHA-256 of the template; payload: a v1 JSON
+// list of param → member hash) and checks that nothing reads it any more:
+// sweeps over that directory — computing, then restarted over the filled
+// store — stream the same canonical NDJSON as a sweep over a clean
+// directory, requests still carrying the retired family fields are
+// served, the kind is not served over /v1/artifacts, and store GC still
+// counts the leftover file and evicts it.
+func TestOldFamilyIndexIgnored(t *testing.T) {
+	const spec = `{
+  "name": "old-family-index",
+  "protocols": [{"spec": "binary:{N}"}],
+  "params": [{"from": 3, "to": 6}],
+  "kinds": ["stable", "simulate"],
+  "sizes": ["{N}+1"],
+  "options": {"seed": 9, "exactOracle": true}
+}`
+	const template = "binary:{N}"
+	sum := sha256.Sum256([]byte(template))
+	famKey := hex.EncodeToString(sum[:])
+
+	oldDir := t.TempDir()
+	st, err := store.Open(oldDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var members []string
+	for n := 3; n <= 6; n++ {
+		entry, err := engine.New().Resolve(engine.ProtocolRef{Spec: fmt.Sprintf("binary:%d", n)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := engine.Hash(entry.Protocol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		members = append(members, fmt.Sprintf(`{"param":%d,"hash":%q}`, n, h))
+	}
+	payload := fmt.Sprintf(`{"v":1,"family":%q,"members":[%s]}`, template, strings.Join(members, ","))
+	if err := st.Put("family", famKey, []byte(payload)); err != nil {
+		t.Fatal(err)
+	}
+	famFile := filepath.Join(oldDir, "family", famKey)
+	old := time.Now().Add(-time.Hour)
+	if err := os.Chtimes(famFile, old, old); err != nil {
+		t.Fatal(err)
+	}
+
+	handlerOver := func(dir string) http.Handler {
+		st, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := engine.New()
+		eng.SetArtifactStore(st)
+		return NewHandler(eng, Options{})
+	}
+	clean := canonicalNDJSON(t, sweepBody(t, handlerOver(t.TempDir()), spec))
+	if got := canonicalNDJSON(t, sweepBody(t, handlerOver(oldDir), spec)); got != clean {
+		t.Fatalf("sweep over the old directory differs from a clean one:\n got %s\nwant %s", got, clean)
+	}
+	h := handlerOver(oldDir) // a restart: stable cells are now store hits
+	if got := canonicalNDJSON(t, sweepBody(t, h, spec)); got != clean {
+		t.Fatalf("restarted sweep over the old directory differs from a clean one:\n got %s\nwant %s", got, clean)
+	}
+
+	rec, res := post(t, h, "/v1/analyze", `{"kind":"stable","protocol":{"spec":"binary:5"},"family":"binary:{N}","familyParam":5}`)
+	if rec.Code != http.StatusOK || res.Stable == nil || res.Incremental != nil {
+		t.Fatalf("request with retired family fields: status %d, result %s", rec.Code, rec.Body)
+	}
+
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/v1/artifacts/family/" + famKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /v1/artifacts/family: status %d, want 404", resp.StatusCode)
+	}
+	if _, err := os.Stat(famFile); err != nil {
+		t.Fatalf("the old family entry must be left in place until GC: %v", err)
+	}
+
+	// GC: the scan counts every file on disk, the family entry included,
+	// and a budget one byte under the total evicts exactly the oldest
+	// entry — the family index.
+	var onDisk int64
+	err = filepath.WalkDir(oldDir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		info, err := d.Info()
+		if err != nil {
+			return err
+		}
+		onDisk += info.Size()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gst, err := store.Open(oldDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gst.EnableGC(store.GCOptions{MaxBytes: onDisk - 1, LowWater: 1, Interval: -1}); err != nil {
+		t.Fatal(err)
+	}
+	defer gst.CloseGC()
+	if got := gst.GCBytes(); got != onDisk {
+		t.Fatalf("GC counts %d bytes, %d on disk", got, onDisk)
+	}
+	gst.RunGC()
+	if _, err := os.Stat(famFile); !os.IsNotExist(err) {
+		t.Fatalf("GC left the family entry in place (stat err %v)", err)
+	}
+	if got, want := gst.GCBytes(), onDisk-int64(12+len(payload)); got != want {
+		t.Fatalf("after GC: %d bytes counted, want %d", got, want)
 	}
 }

@@ -13,7 +13,6 @@ package stable
 // reported fixpoint speedup conservative.
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/ideal"
@@ -70,22 +69,4 @@ func BenchmarkStableAnalyzeNaive(b *testing.B) {
 		sc[0].Union(sc[1])
 	}
 	b.ReportMetric(float64(basis), "basis-elements")
-}
-
-// BenchmarkStableAnalyzeParallel: the sharded fan-out at several worker
-// counts (bit-identical results). Scaling requires GOMAXPROCS > 1; on a
-// single-core host this measures the round-synchronization overhead
-// instead.
-func BenchmarkStableAnalyzeParallel(b *testing.B) {
-	p := benchProtocol()
-	for _, workers := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := Analyze(p, Options{Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }

@@ -9,8 +9,7 @@ package stable
 // internal/sim. The differential suite proves the frontier-driven core's
 // final antichain equal element for element (after canonical sorting; the
 // two cores insert in different orders) on randomized protocols and the
-// whole builtin catalog, and the parallel mode bit-identical — same
-// elements, same order — to the sequential mode.
+// whole builtin catalog.
 
 import (
 	"fmt"
@@ -109,16 +108,6 @@ func canonicalKeys(basis []multiset.Vec) []string {
 	return keys
 }
 
-// rawKeys renders an antichain in its own element order, for the
-// bit-identical parallel-vs-sequential comparison.
-func rawKeys(basis []multiset.Vec) []string {
-	keys := make([]string, len(basis))
-	for i, m := range basis {
-		keys[i] = m.Key()
-	}
-	return keys
-}
-
 func keysEqual(a, b []string) bool {
 	if len(a) != len(b) {
 		return false
@@ -169,12 +158,10 @@ func randomProtocol(rng *rand.Rand) *protocol.Protocol {
 	return b.CompleteWithIdentity().MustBuild()
 }
 
-// compareCores runs the reference analysis and the frontier core
-// (sequential and the given worker counts) on one protocol and fails
-// unless every final antichain is exactly equal to the reference, every
-// ideal decomposition matches, and every parallel run is bit-identical to
-// the sequential one.
-func compareCores(t *testing.T, label string, p *protocol.Protocol, workerCounts []int) {
+// compareCores runs the reference analysis and the frontier core on one
+// protocol and fails unless every final antichain is exactly equal to the
+// reference and every ideal decomposition matches.
+func compareCores(t *testing.T, label string, p *protocol.Protocol) {
 	t.Helper()
 	ref, err := referenceAnalyze(p, 0)
 	if err != nil {
@@ -203,39 +190,17 @@ func compareCores(t *testing.T, label string, p *protocol.Protocol, workerCounts
 				label, b, seq.FrontierProcessed(b), seq.Unstable(b).Size())
 		}
 	}
-	seqOrder := [2][]string{
-		rawKeys(seq.Unstable(0).MinBasis()),
-		rawKeys(seq.Unstable(1).MinBasis()),
-	}
-	for _, w := range workerCounts {
-		par, err := Analyze(p, Options{Workers: w})
-		if err != nil {
-			t.Fatalf("%s: Analyze(workers=%d): %v", label, w, err)
-		}
-		for b := 0; b <= 1; b++ {
-			if !keysEqual(rawKeys(par.Unstable(b).MinBasis()), seqOrder[b]) {
-				t.Fatalf("%s: workers=%d U_%d not bit-identical to sequential:\n got %s\nwant %s",
-					label, w, b, par.Unstable(b), seq.Unstable(b))
-			}
-			if par.Iterations(b) != seq.Iterations(b) || par.FrontierProcessed(b) != seq.FrontierProcessed(b) {
-				t.Fatalf("%s: workers=%d counters (%d,%d) differ from sequential (%d,%d)",
-					label, w, par.Iterations(b), par.FrontierProcessed(b),
-					seq.Iterations(b), seq.FrontierProcessed(b))
-			}
-		}
-	}
 }
 
 // TestDifferentialFrontierVsReference is the central differential test of
 // the backward-coverability rewrite: on ≥ 50 randomized protocols, the
-// frontier-driven core (sequential and parallel) must produce final
-// antichains exactly equal, element for element, to the retained seed
-// fixpoint, and parallel runs must be bit-identical to sequential ones.
+// frontier-driven core must produce final antichains exactly equal,
+// element for element, to the retained seed fixpoint.
 func TestDifferentialFrontierVsReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 60; trial++ {
 		p := randomProtocol(rng)
-		compareCores(t, fmt.Sprintf("trial %d (%s)", trial, p.Name()), p, []int{2, 3 + rng.Intn(3)})
+		compareCores(t, fmt.Sprintf("trial %d (%s)", trial, p.Name()), p)
 	}
 }
 
@@ -246,36 +211,7 @@ func TestDifferentialBuiltinsVsReference(t *testing.T) {
 		name, e := name, e
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			compareCores(t, name, e.Protocol, []int{2, 4})
+			compareCores(t, name, e.Protocol)
 		})
-	}
-}
-
-// TestParallelMatchesSequentialLarger pins bit-identical parallel merges on
-// a workload whose fixpoint has thousands of elements and many rounds (the
-// randomized protocols above stay small).
-func TestParallelMatchesSequentialLarger(t *testing.T) {
-	if testing.Short() {
-		t.Skip("large fixpoint")
-	}
-	p := protocols.FlockOfBirds(28).Protocol
-	seq, err := Analyze(p, Options{})
-	if err != nil {
-		t.Fatalf("Analyze: %v", err)
-	}
-	for _, w := range []int{2, 3, 8} {
-		par, err := Analyze(p, Options{Workers: w})
-		if err != nil {
-			t.Fatalf("Analyze(workers=%d): %v", w, err)
-		}
-		for b := 0; b <= 1; b++ {
-			if !keysEqual(rawKeys(par.Unstable(b).MinBasis()), rawKeys(seq.Unstable(b).MinBasis())) {
-				t.Fatalf("workers=%d: U_%d not bit-identical (sizes %d vs %d)",
-					w, b, par.Unstable(b).Size(), seq.Unstable(b).Size())
-			}
-		}
-	}
-	if seq.Unstable(0).Size() < 1000 {
-		t.Fatalf("workload too small to be meaningful: |U_0| = %d", seq.Unstable(0).Size())
 	}
 }

@@ -22,20 +22,14 @@
 // The fixpoint is frontier-driven: a round derives predecessors only of the
 // elements that became minimal in the previous round, because predecessors
 // of older elements were already derived and, the set being monotone
-// non-shrinking under Add, anything dominated once stays dominated. With
-// Options.Workers > 1 the predecessor fan-out of a round is sharded across
-// goroutines into preallocated slots and merged by one sequential
-// application pass in frontier × transition order — the exact order the
-// sequential mode uses — so the final antichain is bit-identical (same
-// elements, same element order) for every worker count. The retained seed
-// fixpoint (reference_test.go) pins both cores against each other.
+// non-shrinking under Add, anything dominated once stays dominated. The
+// retained seed fixpoint (reference_test.go) pins the two cores against
+// each other.
 package stable
 
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/ideal"
 	"repro/internal/multiset"
@@ -49,8 +43,8 @@ var ErrBasisTooLarge = errors.New("stable: backward coverability basis exceeds l
 // ErrInterrupted is returned when Options.Interrupt closes mid-analysis.
 var ErrInterrupted = errors.New("stable: interrupted")
 
-// interruptBatch is how many predecessor derivations (per goroutine) go
-// between polls of the Interrupt channel.
+// interruptBatch is how many predecessor derivations go between polls of
+// the Interrupt channel.
 const interruptBatch = 1024
 
 // Analysis holds the computed stable sets of one protocol. An Analysis is
@@ -82,10 +76,6 @@ type Options struct {
 	// Interrupt, when non-nil, cancels the analysis cooperatively: Analyze
 	// aborts with ErrInterrupted soon after the channel closes.
 	Interrupt <-chan struct{}
-	// Workers shards each round's predecessor fan-out across this many
-	// goroutines (0 or 1 = sequential). The result is bit-identical to the
-	// sequential fixpoint for any worker count.
-	Workers int
 }
 
 // Analyze computes SC_0 and SC_1 for the protocol.
@@ -96,7 +86,7 @@ func Analyze(p *protocol.Protocol, opts Options) (*Analysis, error) {
 	}
 	a := &Analysis{p: p}
 	for b := 0; b <= 1; b++ {
-		u, iters, expanded, err := backwardCover(p, b, maxBasis, opts.Workers, opts.Interrupt)
+		u, iters, expanded, err := backwardCover(p, b, maxBasis, opts.Interrupt)
 		if err != nil {
 			return nil, fmt.Errorf("computing U_%d: %w", b, err)
 		}
@@ -108,8 +98,8 @@ func Analyze(p *protocol.Protocol, opts Options) (*Analysis, error) {
 
 // setUnstable installs a computed U_b fixpoint: the antichain is rebuilt in
 // canonical element order, so every execution path that arrives at the same
-// set — from-scratch, warm-started, restored from a durable artifact —
-// exposes an identical MinBasis and identical derived structures.
+// set — computed or restored from a durable artifact — exposes an
+// identical MinBasis and identical derived structures.
 func (a *Analysis) setUnstable(b int, u *ideal.UpSet, iters, expanded int) {
 	cu := ideal.CanonicalUpSet(u)
 	a.unstable[b] = cu
@@ -193,20 +183,9 @@ func predRows(p *protocol.Protocol) []predRow {
 // backwardCover computes U_b by the frontier-driven pred-basis fixpoint.
 // It returns the fixpoint, the number of rounds, and the total number of
 // frontier elements expanded.
-func backwardCover(p *protocol.Protocol, b int, maxBasis, workers int, stop <-chan struct{}) (*ideal.UpSet, int, int, error) {
+func backwardCover(p *protocol.Protocol, b, maxBasis int, stop <-chan struct{}) (*ideal.UpSet, int, int, error) {
 	u, frontier := seedGenerators(p, b)
 	rows := predRows(p)
-	iters, expanded, err := runFixpoint(u, frontier, rows, maxBasis, workers, stop)
-	return u, iters, expanded, err
-}
-
-// runFixpoint drives the pred-basis fixpoint to completion from an initial
-// antichain and frontier. The invariant it needs from callers: every live
-// element NOT in the initial frontier already has all its predecessors in
-// the set (true vacuously for the generator seed, and re-established by the
-// warm path by enqueueing every seeded element). It returns the round and
-// expansion counts.
-func runFixpoint(u *ideal.UpSet, frontier []int32, rows []predRow, maxBasis, workers int, stop <-chan struct{}) (int, int, error) {
 	d := u.Dim()
 	var (
 		iters    int
@@ -230,47 +209,38 @@ func runFixpoint(u *ideal.UpSet, frontier []int32, rows []predRow, maxBasis, wor
 		expanded += len(roundF)
 
 		// Fan-out: derive all predecessors of the frontier into fixed
-		// (element × transition) slots — pure reads of the arena, so the
-		// sharded mode writes the same words the sequential mode does.
+		// (element × transition) slots — pure reads of the arena.
 		need := len(roundF) * len(rows) * d
 		if cap(preds) < need {
 			preds = make([]int64, need)
 		}
 		preds = preds[:need]
-		if workers > 1 && len(roundF) > 1 {
-			if err := fanOutParallel(u, roundF, rows, preds, d, workers, stop); err != nil {
-				return iters, expanded, err
-			}
-		} else {
-			n := 0
-			for fi, id := range roundF {
-				m := u.At(int(id))
-				base := fi * len(rows) * d
-				for ti := range rows {
-					if n%interruptBatch == 0 && stopped(stop) {
-						return iters, expanded, ErrInterrupted
-					}
-					n++
-					predInto(preds[base+ti*d:base+(ti+1)*d], m, &rows[ti])
+		n := 0
+		for fi, id := range roundF {
+			m := u.At(int(id))
+			base := fi * len(rows) * d
+			for ti := range rows {
+				if n%interruptBatch == 0 && stopped(stop) {
+					return nil, iters, expanded, ErrInterrupted
 				}
+				n++
+				predInto(preds[base+ti*d:base+(ti+1)*d], m, &rows[ti])
 			}
 		}
 
-		// Merge: one sequential application pass in slot order. This is the
-		// only phase that mutates the antichain, so sequential and sharded
-		// runs insert identical vectors in identical order — the final
-		// antichain is bit-identical for any worker count.
+		// Merge: one application pass in slot order, the only phase that
+		// mutates the antichain.
 		frontier = frontier[:0]
 		for k := 0; k < len(roundF)*len(rows); k++ {
 			if k%interruptBatch == 0 && stopped(stop) {
-				return iters, expanded, ErrInterrupted
+				return nil, iters, expanded, ErrInterrupted
 			}
 			if id, grew := u.Insert(preds[k*d : (k+1)*d]); grew {
 				frontier = append(frontier, int32(id))
 			}
 		}
 		if u.Size() > maxBasis {
-			return iters, expanded, fmt.Errorf("%w: %d elements", ErrBasisTooLarge, u.Size())
+			return nil, iters, expanded, fmt.Errorf("%w: %d elements", ErrBasisTooLarge, u.Size())
 		}
 	}
 	if iters == 0 {
@@ -279,54 +249,7 @@ func runFixpoint(u *ideal.UpSet, frontier []int32, rows []predRow, maxBasis, wor
 		// fixpoint counted.
 		iters = 1
 	}
-	return iters, expanded, nil
-}
-
-// fanOutParallel shards the frontier across workers, each deriving the
-// predecessors of a contiguous element range into the shared slot arena.
-// Slots are disjoint, so no synchronization beyond the final wait is
-// needed; every worker polls the stop channel in batches.
-func fanOutParallel(u *ideal.UpSet, roundF []int32, rows []predRow, preds []int64, d, workers int, stop <-chan struct{}) error {
-	if workers > len(roundF) {
-		workers = len(roundF)
-	}
-	var (
-		wg          sync.WaitGroup
-		interrupted atomic.Bool
-	)
-	chunk := (len(roundF) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(roundF) {
-			hi = len(roundF)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			n := 0
-			for fi := lo; fi < hi; fi++ {
-				m := u.At(int(roundF[fi]))
-				base := fi * len(rows) * d
-				for ti := range rows {
-					if n%interruptBatch == 0 && stopped(stop) {
-						interrupted.Store(true)
-						return
-					}
-					n++
-					predInto(preds[base+ti*d:base+(ti+1)*d], m, &rows[ti])
-				}
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	if interrupted.Load() {
-		return ErrInterrupted
-	}
-	return nil
+	return u, iters, expanded, nil
 }
 
 // Protocol returns the analyzed protocol.

@@ -1,152 +1,17 @@
 package sweep
 
 import (
-	"context"
-	"encoding/json"
 	"testing"
 
 	"repro/internal/engine"
 )
-
-// familySpec is a two-family grid over the analysis kinds the incremental
-// delta path accelerates: stable antichains and realisability bases, plus
-// verify cells as an oracle-backed sanity layer.
-func familySpec() Spec {
-	return Spec{
-		Name: "family-differential",
-		Protocols: []ProtocolAxis{
-			{Spec: "flock:{N}"},
-			{Spec: "binary:{N}"},
-		},
-		Params:    []ParamRange{{From: 3, To: 7}},
-		Kinds:     []engine.Kind{engine.KindStable, engine.KindBasis},
-		Predicate: &PredicateTemplate{Kind: "counting", Threshold: ParamExpr(0, 0)},
-		Options:   Options{Seed: 5, FullResults: true},
-	}
-}
-
-func runFamilySweep(t *testing.T, eng *engine.Engine, workers int) *Result {
-	t.Helper()
-	res, err := Run(context.Background(), eng, familySpec(), RunOptions{Workers: workers})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Failed != 0 || res.Completed != res.TotalCells {
-		t.Fatalf("sweep did not complete cleanly: %+v", res)
-	}
-	return res
-}
-
-// TestFamilySweepIncrementalEqualsFromScratch is the tentpole acceptance
-// gate: a family sweep on a warm-started engine produces canonical cells
-// byte-identical, cell for cell, to the same sweep with the delta path
-// disabled — and the canonical summaries match too.
-func TestFamilySweepIncrementalEqualsFromScratch(t *testing.T) {
-	warm := runFamilySweep(t, engine.New(), 2)
-
-	cold := engine.New()
-	cold.SetIncremental(false)
-	scratch := runFamilySweep(t, cold, 2)
-
-	if len(warm.Cells) != len(scratch.Cells) {
-		t.Fatalf("cell counts differ: %d vs %d", len(warm.Cells), len(scratch.Cells))
-	}
-	for i := range warm.Cells {
-		wb, err := json.Marshal(CanonicalCell(warm.Cells[i]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cb, err := json.Marshal(CanonicalCell(scratch.Cells[i]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(wb) != string(cb) {
-			t.Errorf("cell %d differs:\n warm: %s\n cold: %s", i, wb, cb)
-		}
-	}
-
-	ws, err := json.Marshal(CanonicalResult(warm))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs, err := json.Marshal(CanonicalResult(scratch))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(ws) != string(cs) {
-		t.Errorf("canonical summaries differ:\n warm: %s\n cold: %s", ws, cs)
-	}
-}
-
-// TestFamilySweepWarmProvenance: with family chains scheduling members
-// sequentially in ascending parameter order, every member after a family's
-// first must carry warm incremental provenance seeded from its predecessor
-// — on a multi-worker pool, which is exactly what the chain scheduling
-// guarantees.
-func TestFamilySweepWarmProvenance(t *testing.T) {
-	res := runFamilySweep(t, engine.New(), 4)
-
-	// CellResult carries the resolved member spec, not the family template;
-	// recover each index's family from the expanded grid.
-	grid, err := familySpec().Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	familyOf := make(map[int]string, len(grid))
-	for _, c := range grid {
-		familyOf[c.Index] = c.Request.Family
-	}
-
-	type famKey struct {
-		family string
-		kind   engine.Kind
-	}
-	firstParam := map[famKey]int64{}
-	for _, c := range res.Cells {
-		if c.Param != nil {
-			k := famKey{familyOf[c.Index], c.Kind}
-			if p, ok := firstParam[k]; !ok || *c.Param < p {
-				firstParam[k] = *c.Param
-			}
-		}
-	}
-
-	warmCells := 0
-	for _, c := range res.Cells {
-		if c.Param == nil || c.Result == nil {
-			continue
-		}
-		first := firstParam[famKey{familyOf[c.Index], c.Kind}] == *c.Param
-		inc := c.Result.Incremental
-		if first {
-			if inc != nil {
-				t.Errorf("first member %s:%d %s has provenance %+v", c.Protocol, *c.Param, c.Kind, inc)
-			}
-			continue
-		}
-		if inc == nil {
-			t.Errorf("member %s:%d %s ran cold inside a family chain", c.Protocol, *c.Param, c.Kind)
-			continue
-		}
-		warmCells++
-		if inc.SeedParam != *c.Param-1 {
-			t.Errorf("member %s:%d seeded from %d, want nearest neighbor %d",
-				c.Protocol, *c.Param, inc.SeedParam, *c.Param-1)
-		}
-	}
-	if warmCells == 0 {
-		t.Fatal("no cell carried warm provenance")
-	}
-}
 
 // TestFamilyChains pins the scheduling unit: family cells form one chain in
 // grid order, non-family cells stay singletons, chain order follows first
 // appearance.
 func TestFamilyChains(t *testing.T) {
 	mk := func(idx int, fam string) Cell {
-		c := Cell{Index: idx}
-		c.Request.Family = fam
-		return c
+		return Cell{Index: idx, Family: fam}
 	}
 	cells := []Cell{mk(0, "a:{N}"), mk(1, ""), mk(2, "b:{N}"), mk(3, "a:{N}"), mk(4, "")}
 	chains := familyChains(cells)
@@ -175,8 +40,7 @@ func TestFamilyChains(t *testing.T) {
 }
 
 // TestExpandStampsFamily: expansion marks parametric-template cells with
-// their family identity and parameter, and leaves non-parametric cells
-// unstamped.
+// their family template, and leaves non-parametric cells unstamped.
 func TestExpandStampsFamily(t *testing.T) {
 	spec := Spec{
 		Protocols: []ProtocolAxis{{Spec: "flock:{N}"}, {Spec: "flock:4"}},
@@ -189,16 +53,16 @@ func TestExpandStampsFamily(t *testing.T) {
 	}
 	stamped, plain := 0, 0
 	for _, c := range cells {
-		switch c.Request.Family {
+		switch c.Family {
 		case "flock:{N}":
 			stamped++
-			if c.Param == nil || c.Request.FamilyParam != *c.Param {
-				t.Errorf("cell %d: familyParam %d, param %v", c.Index, c.Request.FamilyParam, c.Param)
+			if c.Param == nil {
+				t.Errorf("cell %d: family member without a param", c.Index)
 			}
 		case "":
 			plain++
 		default:
-			t.Errorf("cell %d: unexpected family %q", c.Index, c.Request.Family)
+			t.Errorf("cell %d: unexpected family %q", c.Index, c.Family)
 		}
 	}
 	if stamped == 0 || plain == 0 {

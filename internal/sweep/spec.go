@@ -497,6 +497,10 @@ type Cell struct {
 	Size int64 `json:"size,omitempty"`
 	// Kind is the analysis kind.
 	Kind engine.Kind `json:"kind"`
+	// Family is the parametric spec template ("flock:{N}") the cell was
+	// expanded from, when it has one; empty otherwise. The executors
+	// schedule and route a family's cells together (see familyChains).
+	Family string `json:"family,omitempty"`
 	// Request is the engine request the cell executes.
 	Request engine.Request `json:"request"`
 }
@@ -686,10 +690,8 @@ func (s Spec) expandEntry(entryIdx int, entry ProtocolAxis, params []int64, emit
 		}
 	}
 
-	// A parametric spec template is a protocol family: declare it on every
-	// member cell so the engine's incremental layer can warm-start each
-	// parameter's artifacts from the previously analyzed neighbor. (The
-	// sweep Param token and the engine's family token are the same "{N}".)
+	// A parametric spec template is a protocol family: stamp it on every
+	// member cell so the executors keep the family together.
 	family := ""
 	if strings.Contains(entry.Spec, Param) {
 		family = entry.Spec
@@ -708,15 +710,12 @@ func (s Spec) expandEntry(entryIdx int, entry ProtocolAxis, params []int64, emit
 				Protocol: label,
 				Param:    param,
 				Kind:     kind,
+				Family:   family,
 				Request: engine.Request{
 					Kind:          kind,
 					Protocol:      ref,
 					TimeoutMillis: s.Options.TimeoutMillis,
 				},
-			}
-			if family != "" && param != nil {
-				cell.Request.Family = family
-				cell.Request.FamilyParam = pv
 			}
 			if !needsSize(kind) {
 				if err := emit(cell); err != nil {

@@ -16,10 +16,8 @@ type StreamRow struct {
 }
 
 // CanonicalCell returns a copy of a cell result with its volatile fields —
-// wall-clock timings, cache-hit flags, incremental provenance and fixpoint
-// schedule counters, which legitimately differ between runs and between
-// executors (a warm-started analysis reaches the identical antichains in
-// fewer rounds) — zeroed. Everything analysis-determined (verdicts, basis
+// wall-clock timings, cache-hit flags and fixpoint schedule counters, which
+// legitimately differ between runs and between executors — zeroed. Everything analysis-determined (verdicts, basis
 // sizes, statistics, seed-driven simulation outcomes) is preserved, so two
 // canonical cells are byte-identical exactly when the analyses agreed.
 func CanonicalCell(cr CellResult) CellResult {
@@ -29,7 +27,6 @@ func CanonicalCell(cr CellResult) CellResult {
 		r := *cr.Result
 		r.ElapsedMillis = 0
 		r.CacheHit = false
-		r.Incremental = nil
 		if r.Stable != nil {
 			s := *r.Stable
 			s.Iterations0, s.Iterations1 = 0, 0

@@ -115,7 +115,7 @@ func TestFacadeSaturationAndRealisability(t *testing.T) {
 	}
 }
 
-func TestFacadeConcurrentSimAndParallelExplore(t *testing.T) {
+func TestFacadeConcurrentSim(t *testing.T) {
 	e := pp.Succinct(2)
 	p := e.Protocol
 	stats, err := pp.SimulateConcurrent(p, p.InitialConfigN(12), 4, pp.SimOptions{Seed: 3}, 2)
@@ -126,13 +126,6 @@ func TestFacadeConcurrentSimAndParallelExplore(t *testing.T) {
 		if !st.Converged || st.Output != 1 {
 			t.Fatalf("bad run: %+v", st)
 		}
-	}
-	g, err := pp.ExploreParallel(p, p.InitialConfigN(6), 0, 2)
-	if err != nil {
-		t.Fatalf("ExploreParallel: %v", err)
-	}
-	if b, ok := g.FairOutput(); !ok || b != 1 {
-		t.Fatalf("fair output %d,%t", b, ok)
 	}
 }
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # bench.sh — run the pinned benchmark suites and record the numbers.
 #
-# Two suites, one JSON file each:
+# Three suites, one JSON file each:
 #
 #   reach   BenchmarkExplore*/BenchmarkCover*/BenchmarkMaxCover* in
 #           internal/reach (includes the retained pre-arena core as the
@@ -12,16 +12,6 @@
 #   stable  BenchmarkStableAnalyze* in internal/stable (includes the
 #           retained seed fixpoint as the "before" side; expect the Naive
 #           benchmark to take minutes per iteration)  → BENCH_stable.json
-#   parallel  the Arena/Parallel pairs from reach and stable re-run under
-#           GOMAXPROCS=${PARALLEL_GOMAXPROCS:-4}, so the record has a row
-#           where the worker pools actually run concurrently
-#                                                   → BENCH_parallel.json
-#   sweep   BenchmarkSweepIncremental/BenchmarkSweepFromScratch in
-#           internal/sweep — extending an analyzed family ramp over a warm
-#           artifact store vs recomputing the grid cold; always runs at
-#           -benchtime 1x (only the first iteration is the extend
-#           scenario: it writes the delta through, so later iterations
-#           would measure a fully warm store)         → BENCH_sweep.json
 #
 # Usage:
 #   scripts/bench.sh                   # all suites, full run
@@ -99,7 +89,7 @@ run_reach() {
     -bench 'Benchmark(Explore|Cover|MaxCover)' \
     -benchmem -benchtime "$benchtime" -count 1 | tee "$tmp" >&2
   render reach \
-    "*Naive benchmarks run the retained pre-arena core (the before side of the comparison); parallel scaling requires gomaxprocs > 1" \
+    "*Naive benchmarks run the retained pre-arena core (the before side of the comparison)" \
     "$tmp" "$out"
 }
 
@@ -125,48 +115,7 @@ run_stable() {
     -bench 'BenchmarkStableAnalyze' \
     -benchmem -benchtime "$benchtime" -count 1 -timeout 2h | tee "$tmp" >&2
   render stable \
-    "StableAnalyzeNaive runs the retained seed fixpoint (the before side; the seed complementation cannot finish this workload, so the baseline borrows the production complementation — the fixpoint ratio is conservative); pinned workload binary:104, |U_0 basis| = 11538; parallel scaling requires gomaxprocs > 1" \
-    "$tmp" "$out"
-}
-
-run_parallel() {
-  # The parallel suites re-run the Arena (sequential baseline) and
-  # Parallel benchmarks under an explicit GOMAXPROCS > 1 so the committed
-  # record has a row where the worker pools can actually run concurrently
-  # — the other suites inherit whatever the host offers, which on a
-  # 1-core machine pins Parallel to a sequential schedule.
-  local out="${OUT_PARALLEL:-BENCH_parallel.json}"
-  local procs="${PARALLEL_GOMAXPROCS:-4}"
-  local tmp
-  tmp="$(mktemp)"
-  tmpfiles+=("$tmp")
-  GOMAXPROCS="$procs" go test ./internal/reach -run '^$' \
-    -bench 'BenchmarkExplore(Arena|Parallel)' \
-    -benchmem -benchtime "$benchtime" -count 1 | tee "$tmp" >&2
-  GOMAXPROCS="$procs" go test ./internal/stable -run '^$' \
-    -bench 'BenchmarkStableAnalyze(Arena|Parallel)' \
-    -benchmem -benchtime "$benchtime" -count 1 -timeout 2h | tee -a "$tmp" >&2
-  GOMAXPROCS="$procs" render parallel \
-    "Arena rows are the sequential baseline, Parallel rows the worker-pool analyses, both under GOMAXPROCS=$procs; when gomaxprocs exceeds host_cpus the schedule is oversubscribed and the ratio is a lower bound on real multi-core scaling" \
-    "$tmp" "$out"
-}
-
-run_sweep() {
-  # The incremental/from-scratch pair is pinned at one iteration each: the
-  # incremental benchmark's first iteration is the extend scenario (29
-  # durable hits + 2 delta computes) and writes the delta through, so any
-  # further iteration would measure a fully warm store instead. BENCHTIME
-  # is deliberately ignored here.
-  local out="${OUT_SWEEP:-BENCH_sweep.json}"
-  local benchtime=1x # shadows the global for the render call below
-  local tmp
-  tmp="$(mktemp)"
-  tmpfiles+=("$tmp")
-  go test ./internal/sweep -run '^$' \
-    -bench 'BenchmarkSweep(Incremental|FromScratch)' \
-    -benchtime 1x -count 1 -timeout 1h | tee "$tmp" >&2
-  render sweep \
-    "Extend scenario for the delta-aware sweep path: the binary-threshold ramp 42..70 is analyzed with a durable artifact store, then the grid is widened to 40..70 (new-cells/op = 2, placed at the cheap end of the superlinear ramp so the ratio measures grid reuse rather than the irreducible delta compute); Incremental restores the 29 analyzed cells and computes only the delta, FromScratch recomputes all 31 cells cold with the delta path disabled — the FromScratch/Incremental ns_per_op ratio is the committed aggregate speedup" \
+    "StableAnalyzeNaive runs the retained seed fixpoint (the before side; the seed complementation cannot finish this workload, so the baseline borrows the production complementation — the fixpoint ratio is conservative); pinned workload binary:104, |U_0 basis| = 11538" \
     "$tmp" "$out"
 }
 
@@ -174,8 +123,6 @@ case "$suites" in
   reach)    run_reach ;;
   sim)      run_sim ;;
   stable)   run_stable ;;
-  parallel) run_parallel ;;
-  sweep)    run_sweep ;;
-  all)      run_reach; run_sim; run_stable; run_parallel; run_sweep ;;
-  *) echo "usage: scripts/bench.sh [reach|sim|stable|parallel|sweep|all]" >&2; exit 2 ;;
+  all)      run_reach; run_sim; run_stable ;;
+  *) echo "usage: scripts/bench.sh [reach|sim|stable|all]" >&2; exit 2 ;;
 esac

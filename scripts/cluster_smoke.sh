@@ -26,7 +26,7 @@ go build -o "$workdir/ppserve" ./cmd/ppserve
 go build -o "$workdir/ppsweep" ./cmd/ppsweep
 
 # Three parametric families: the dispatcher routes each family WHOLE to
-# one rendezvous owner (members warm-start from their neighbors there), so
+# one rendezvous owner (which runs its members in parameter order), so
 # spreading the grid across both workers needs multiple templates — these
 # three land on both workers under worker IDs w1/w2 (the same property the
 # in-process integration specs rely on).

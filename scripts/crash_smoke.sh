@@ -12,6 +12,11 @@
 #      replayed cells, and disk-store artifact hits for the protocols the
 #      crashed run already computed).
 #
+# Both artifact directories also start with a leftover per-family member
+# index (kind "family"), as older servers wrote it: the servers must
+# ignore it (same canonical bytes, 404 over /v1/artifacts) and the store
+# GC must still evict it.
+#
 # Usage: scripts/crash_smoke.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -60,6 +65,26 @@ wait_listen() {
   return 1
 }
 
+# plant_family_index <artifact-dir>: write the CRC-framed family index an
+# older server kept for flock:{N} ("PPA1", payload length, CRC32 — both
+# little-endian, which is gzip's trailer in reverse order — then the
+# payload), backdated so the GC sees it as the coldest entry. The member
+# hash is a stand-in: nothing may read it. Prints the store key.
+plant_family_index() {
+  local payload key
+  payload='{"v":1,"family":"flock:{N}","members":[{"param":3,"hash":"'"$(printf 'flock:3' | sha256sum | cut -d' ' -f1)"'"}]}'
+  key="$(printf '%s' 'flock:{N}' | sha256sum | cut -d' ' -f1)"
+  mkdir -p "$1/family"
+  {
+    printf 'PPA1'
+    printf '%s' "$payload" | gzip -c | tail -c 4
+    printf '%s' "$payload" | gzip -c | tail -c 8 | head -c 4
+    printf '%s' "$payload"
+  } > "$1/family/$key"
+  touch -d '1 hour ago' "$1/family/$key"
+  echo "$key"
+}
+
 # Baseline: the same spec through a journaled server that never crashes
 # (fresh directories), canonicalized for byte comparison.
 "$workdir/ppserve" -coordinator -addr 127.0.0.1:0 \
@@ -73,6 +98,7 @@ kill "$base_pid" 2>/dev/null || true
 
 # Crash run: stream the sweep, SIGKILL the server once a few cells are
 # durably journaled. curl streams to a file so we can watch progress.
+family_key="$(plant_family_index "$workdir/artifacts")"
 "$workdir/ppserve" -coordinator -addr 127.0.0.1:0 -log-requests \
   -journal-dir "$workdir/journal" -artifact-dir "$workdir/artifacts" \
   > "$workdir/run1.log" 2>&1 &
@@ -123,6 +149,12 @@ if ! diff -u "$workdir/baseline.ndjson" "$workdir/resumed.ndjson"; then
   exit 1
 fi
 
+status="$(curl -s -o /dev/null -w '%{http_code}' "$url2/v1/artifacts/family/$family_key")"
+if [ "$status" != 404 ]; then
+  echo "FAIL: GET /v1/artifacts/family answered $status, want 404" >&2
+  exit 1
+fi
+
 # Warm-restart assertion: flock:3's stable analysis ran before the crash,
 # so this repeated-protocol request against the restarted (cold-memory)
 # engine must be served from the disk artifact store, not recomputed.
@@ -157,7 +189,9 @@ echo "crash smoke OK: kill -9 after $rows cells, resume replayed ${replayed%.*} 
 # well below the working set (the flock 3..10 stable artifacts alone are
 # ~6.5KB). The GC must evict under pressure while the sweep completes to
 # the same canonical bytes — governance degrades cache hits, never
-# correctness.
+# correctness. The planted family index is the coldest entry, so it goes
+# first.
+gc_family_key="$(plant_family_index "$workdir/artifacts-gc")"
 "$workdir/ppserve" -coordinator -addr 127.0.0.1:0 \
   -journal-dir "$workdir/journal-gc" -artifact-dir "$workdir/artifacts-gc" \
   -artifact-max-bytes 2048 \
@@ -176,6 +210,10 @@ evictions="${evictions:-0}"
 if [ "${evictions%.*}" -lt 1 ]; then
   echo "FAIL: artifact budget below working set but pp_store_gc_evictions_total=${evictions}" >&2
   grep '^pp_store' <<< "$gcmetrics" >&2 || true
+  exit 1
+fi
+if [ -e "$workdir/artifacts-gc/family/$gc_family_key" ]; then
+  echo "FAIL: store GC left the old family index in place" >&2
   exit 1
 fi
 gc_bytes="$(awk '/^pp_store_gc_bytes/ {print $2}' <<< "$gcmetrics")"
