@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/multiset"
+	"repro/internal/vecset"
 )
 
 // benchCandidates builds a stream of frontier-like candidate vectors with a
@@ -30,16 +31,16 @@ func benchCandidates() []multiset.Vec {
 
 // BenchmarkDedupVecSet measures the solver's candidate dedup as now
 // implemented: raw-coordinate FNV-1a hashing into an arena-backed
-// open-addressing set (vecset.go). Compare allocs/op with the string-key
+// open-addressing set (internal/vecset). Compare allocs/op with the string-key
 // baseline below — the per-candidate Key materialization is gone.
 func BenchmarkDedupVecSet(b *testing.B) {
 	cands := benchCandidates()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		seen := newVecSet(len(cands[0]))
+		seen := vecset.New(len(cands[0]))
 		fresh := 0
 		for _, y := range cands {
-			if seen.insert(y) {
+			if seen.Insert(y) {
 				fresh++
 			}
 		}

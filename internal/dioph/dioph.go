@@ -17,6 +17,7 @@ import (
 	"math/big"
 
 	"repro/internal/multiset"
+	"repro/internal/vecset"
 )
 
 // ErrSearchTooLarge is returned when the Contejean–Devie frontier exceeds
@@ -69,13 +70,13 @@ func HilbertBasisEq(a [][]int64, v int, opts Options) ([]multiset.Vec, error) {
 	}
 	var minimal []multiset.Vec
 	frontier := make([]node, 0, v)
-	// Frontier dedup hashes raw coordinates (see vecset.go) instead of
+	// Frontier dedup hashes raw coordinates (internal/vecset) instead of
 	// building a string key per candidate.
-	seen := newVecSet(v)
+	seen := vecset.New(v)
 	for j := 0; j < v; j++ {
 		y := multiset.Unit(v, j)
 		frontier = append(frontier, node{y: y, ay: cols[j].Clone()})
-		seen.insert(y)
+		seen.Insert(y)
 	}
 	examined := 0
 	for len(frontier) > 0 {
@@ -108,7 +109,7 @@ func HilbertBasisEq(a [][]int64, v int, opts Options) ([]multiset.Vec, error) {
 				}
 				y2 := nd.y.Clone()
 				y2[j]++
-				if !seen.insert(y2) {
+				if !seen.Insert(y2) {
 					continue
 				}
 				next = append(next, node{y: y2, ay: nd.ay.Add(cols[j])})
@@ -143,13 +144,13 @@ func GeneratorsIneq(a [][]int64, v int, opts Options) ([]multiset.Vec, error) {
 		return nil, err
 	}
 	var out []multiset.Vec
-	seen := newVecSet(v)
+	seen := vecset.New(v)
 	for _, b := range basis {
 		y := b[:v].Clone()
 		if y.IsZero() {
 			continue // pure-slack solutions project to 0
 		}
-		if seen.insert(y) {
+		if seen.Insert(y) {
 			out = append(out, y)
 		}
 	}

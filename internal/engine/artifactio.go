@@ -60,23 +60,22 @@ func (e *Engine) durability() (*store.Store, PeerFetchFunc) {
 	return e.artstore, e.peerFetch
 }
 
-// stableArtifact is the durable stable-analysis encoding. Version 1
-// carries the minimal bases of U_0 and U_1 in arena insertion order plus
-// the fixpoint's reporting counters, and everything else is recomputed
-// deterministically by stable.Restore. Version 2 adds the derived ideal
-// decompositions (SC_0, SC_1 and their union, ω coordinates as -1 — the
-// in-memory sentinel), which stable.RestoreDerived restores verbatim
-// instead of recomputing: complementation dominates Restore on threshold
-// families, and skipping it is what makes a durable-store hit an order of
-// magnitude cheaper than the fixpoint. V1 payloads (fields absent) still
-// decode through the recomputing path.
-type stableArtifactV1 struct {
+// stableArtifact is the durable stable-analysis encoding, version 2: the
+// minimal bases of U_0 and U_1 in canonical order, the fixpoint's
+// reporting counters, and the derived ideal decompositions (SC_0, SC_1 and
+// their union, ω coordinates as -1 — the in-memory sentinel), which
+// stable.RestoreDerived restores verbatim instead of recomputing:
+// complementation dominates a restore on threshold families, and skipping
+// it is what makes a durable-store hit an order of magnitude cheaper than
+// the fixpoint. Version 1 payloads (bases only) no longer decode: like any
+// bad payload they are deleted and recomputed, then rewritten as v2.
+type stableArtifact struct {
 	V          int       `json:"v"`
 	Basis0     [][]int64 `json:"basis0"`
 	Basis1     [][]int64 `json:"basis1"`
 	Iterations [2]int    `json:"iterations"`
 	Frontier   [2]int    `json:"frontier"`
-	// V2 fields: the derived decompositions, each ideal as its caps vector.
+	// The derived decompositions, each ideal as its caps vector.
 	SC0   [][]int64 `json:"sc0,omitempty"`
 	SC1   [][]int64 `json:"sc1,omitempty"`
 	SCAll [][]int64 `json:"scAll,omitempty"`
@@ -111,7 +110,7 @@ func unpackIdeals(rows [][]int64) []ideal.Ideal {
 }
 
 func encodeStableArtifact(a *stable.Analysis) ([]byte, error) {
-	art := stableArtifactV1{V: 2}
+	art := stableArtifact{V: 2}
 	pack := func(basis []multiset.Vec) [][]int64 {
 		out := make([][]int64, len(basis))
 		for i, m := range basis {
@@ -131,9 +130,12 @@ func encodeStableArtifact(a *stable.Analysis) ([]byte, error) {
 }
 
 func decodeStableArtifact(p *protocol.Protocol, payload []byte) (*stable.Analysis, error) {
-	var art stableArtifactV1
+	var art stableArtifact
 	if err := json.Unmarshal(payload, &art); err != nil {
 		return nil, fmt.Errorf("stable artifact: %w", err)
+	}
+	if art.V != 2 {
+		return nil, fmt.Errorf("stable artifact: unsupported version %d", art.V)
 	}
 	unpack := func(rows [][]int64) []multiset.Vec {
 		out := make([]multiset.Vec, len(rows))
@@ -143,17 +145,10 @@ func decodeStableArtifact(p *protocol.Protocol, payload []byte) (*stable.Analysi
 		return out
 	}
 	basis := [2][]multiset.Vec{unpack(art.Basis0), unpack(art.Basis1)}
-	switch art.V {
-	case 1:
-		return stable.Restore(p, basis, art.Iterations, art.Frontier)
-	case 2:
-		return stable.RestoreDerived(p, basis, art.Iterations, art.Frontier, stable.Derived{
-			SC:    [2][]ideal.Ideal{unpackIdeals(art.SC0), unpackIdeals(art.SC1)},
-			SCAll: unpackIdeals(art.SCAll),
-		})
-	default:
-		return nil, fmt.Errorf("stable artifact: unsupported version %d", art.V)
-	}
+	return stable.RestoreDerived(p, basis, art.Iterations, art.Frontier, stable.Derived{
+		SC:    [2][]ideal.Ideal{unpackIdeals(art.SC0), unpackIdeals(art.SC1)},
+		SCAll: unpackIdeals(art.SCAll),
+	})
 }
 
 func encodeBasisArtifact(basis []realise.TransitionMultiset) ([]byte, error) {
@@ -237,38 +232,25 @@ func (e *Engine) saveArtifact(kind, hash string, payload []byte, err error) {
 	_ = st.Put(kind, hash, payload)
 }
 
-// loadStable tries to satisfy a stable-analysis miss from durable state.
-func (e *Engine) loadStable(ctx context.Context, p *protocol.Protocol, hash string) *stable.Analysis {
-	payload := e.loadArtifact(ctx, ArtifactStable, hash)
+// loadMemo tries to satisfy a miss for an artifact of kind k from durable
+// state.
+func loadMemo[T any](e *Engine, ctx context.Context, k *artifactKind[T], p *protocol.Protocol, hash string) (T, bool) {
+	var zero T
+	payload := e.loadArtifact(ctx, k.name, hash)
 	if payload == nil {
-		return nil
+		return zero, false
 	}
-	a, err := decodeStableArtifact(p, payload)
+	val, err := k.decode(p, payload)
 	if err != nil {
 		// Decoded frame but bogus content (e.g. a hash collision across
-		// protocol versions): delete so it cannot resurface, recompute.
+		// protocol versions, or a payload version this build no longer
+		// reads): delete so it cannot resurface, recompute.
 		if st, _ := e.durability(); st != nil {
-			_ = st.Delete(ArtifactStable, hash)
+			_ = st.Delete(k.name, hash)
 		}
-		return nil
+		return zero, false
 	}
-	return a
-}
-
-// loadBasis tries to satisfy a realisable-basis miss from durable state.
-func (e *Engine) loadBasis(ctx context.Context, p *protocol.Protocol, hash string) ([]realise.TransitionMultiset, bool) {
-	payload := e.loadArtifact(ctx, ArtifactBasis, hash)
-	if payload == nil {
-		return nil, false
-	}
-	basis, err := decodeBasisArtifact(p, payload)
-	if err != nil {
-		if st, _ := e.durability(); st != nil {
-			_ = st.Delete(ArtifactBasis, hash)
-		}
-		return nil, false
-	}
-	return basis, true
+	return val, true
 }
 
 // ArtifactBytes serves the durable encoding of a completed artifact, for

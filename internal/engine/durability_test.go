@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -120,6 +122,61 @@ func TestCorruptDiskEntryRecomputed(t *testing.T) {
 	do(t, third, Request{Kind: KindStable, Protocol: ProtocolRef{Spec: "binary:5"}})
 	if third.Computations() != 0 {
 		t.Fatal("store did not heal after corruption recompute")
+	}
+}
+
+// TestStaleStablePayloadRecomputed pins the payload-version contract: a
+// stored version-1 stable payload (bases only) and a stored version-2
+// payload whose basis is not in canonical order are both misses. Each is
+// recomputed, the result is identical to a fresh one, and the entry is
+// rewritten as the canonical version-2 payload.
+func TestStaleStablePayloadRecomputed(t *testing.T) {
+	const spec = "binary:5"
+	s, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	source := New()
+	source.SetArtifactStore(s)
+	want := do(t, source, Request{Kind: KindStable, Protocol: ProtocolRef{Spec: spec}})
+	hash := want.Protocol.Hash
+	canonical, err := s.Get(ArtifactStable, hash)
+	if err != nil || canonical == nil {
+		t.Fatalf("computed artifact not stored: %v", err)
+	}
+	var art stableArtifact
+	if err := json.Unmarshal(canonical, &art); err != nil {
+		t.Fatal(err)
+	}
+	if len(art.Basis0) < 2 {
+		t.Fatalf("%s: U_0 basis has %d elements, need 2 to reorder", spec, len(art.Basis0))
+	}
+
+	v1 := art
+	v1.V, v1.SC0, v1.SC1, v1.SCAll = 1, nil, nil, nil
+	unordered := art
+	unordered.Basis0 = append([][]int64{art.Basis0[len(art.Basis0)-1]}, art.Basis0[:len(art.Basis0)-1]...)
+	for name, stale := range map[string]stableArtifact{"v1": v1, "non-canonical v2": unordered} {
+		payload, err := json.Marshal(stale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Put(ArtifactStable, hash, payload); err != nil {
+			t.Fatal(err)
+		}
+		eng := New()
+		eng.SetArtifactStore(s)
+		got := do(t, eng, Request{Kind: KindStable, Protocol: ProtocolRef{Spec: spec}})
+		if eng.Computations() != 1 {
+			t.Fatalf("%s payload: %d computations, want 1 (recompute)", name, eng.Computations())
+		}
+		if !reflect.DeepEqual(got.Stable, want.Stable) {
+			t.Fatalf("%s payload: recomputed result differs:\n%+v\nvs\n%+v", name, got.Stable, want.Stable)
+		}
+		rewritten, err := s.Get(ArtifactStable, hash)
+		if err != nil || !bytes.Equal(rewritten, canonical) {
+			t.Fatalf("%s payload: store not rewritten as canonical v2 (err %v)", name, err)
+		}
 	}
 }
 

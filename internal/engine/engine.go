@@ -437,13 +437,50 @@ func (e *Engine) evictIfCurrent(hash string, a *artifacts) {
 	}
 }
 
-// stableFor memoizes the stable-set analysis of a protocol. The second
-// return value reports whether the analysis was complete when the request
-// arrived (waiters on an in-flight computation count as misses — they pay
-// the full latency). A computation interrupted by the computing request's
-// deadline is evicted so it never poisons the cache; waiters whose own
-// context is still live retry on a fresh slot.
-func (e *Engine) stableFor(ctx context.Context, p *protocol.Protocol, hash string) (*stable.Analysis, bool, error) {
+// artifactKind describes one memoized artifact: its durable store kind,
+// its slot in an artifacts entry, how it is computed, encoded and decoded,
+// and the sentinel its computation returns when interrupted.
+type artifactKind[T any] struct {
+	name      string
+	slot      func(*artifacts) *memo[T]
+	compute   func(ctx context.Context, p *protocol.Protocol) (T, error)
+	encode    func(T) ([]byte, error)
+	decode    func(*protocol.Protocol, []byte) (T, error)
+	interrupt error
+}
+
+var (
+	stableKind = &artifactKind[*stable.Analysis]{
+		name: ArtifactStable,
+		slot: func(a *artifacts) *memo[*stable.Analysis] { return &a.stable },
+		compute: func(ctx context.Context, p *protocol.Protocol) (*stable.Analysis, error) {
+			return stable.Analyze(p, stable.Options{Interrupt: ctx.Done()})
+		},
+		encode:    encodeStableArtifact,
+		decode:    decodeStableArtifact,
+		interrupt: stable.ErrInterrupted,
+	}
+	basisKind = &artifactKind[[]realise.TransitionMultiset]{
+		name: ArtifactBasis,
+		slot: func(a *artifacts) *memo[[]realise.TransitionMultiset] { return &a.basis },
+		compute: func(ctx context.Context, p *protocol.Protocol) ([]realise.TransitionMultiset, error) {
+			return realise.Basis(p, dioph.Options{Interrupt: ctx.Done()})
+		},
+		encode:    encodeBasisArtifact,
+		decode:    decodeBasisArtifact,
+		interrupt: dioph.ErrInterrupted,
+	}
+)
+
+// memoized returns the artifact of kind k for a protocol, computing it at
+// most once per cache entry. The second return value reports whether the
+// artifact was complete when the request arrived (waiters on an in-flight
+// computation count as misses — they pay the full latency). A computation
+// interrupted by the computing request's deadline is evicted so it never
+// poisons the cache; waiters whose own context is still live retry on a
+// fresh slot.
+func memoized[T any](e *Engine, ctx context.Context, k *artifactKind[T], p *protocol.Protocol, hash string) (T, bool, error) {
+	var zero T
 	counted := false
 	count := func(hit bool) {
 		if !counted {
@@ -453,28 +490,28 @@ func (e *Engine) stableFor(ctx context.Context, p *protocol.Protocol, hash strin
 	}
 	for {
 		a := e.artifactsFor(hash)
-		m := &a.stable
+		m := k.slot(a)
 		hit := m.completed()
 		if m.started.CompareAndSwap(false, true) {
 			count(false)
 			release, err := e.acquire(ctx)
 			if err != nil {
 				// Never got to run: hand the slot race to a retrier.
-				m.err = stable.ErrInterrupted
+				m.err = k.interrupt
 				close(m.ready)
 				e.evictIfCurrent(hash, a)
-				return nil, false, err
+				return zero, false, err
 			}
-			// Durable state first — a disk or peer hit skips the fixpoint
-			// entirely (and does not count as a computation).
-			if art := e.loadStable(ctx, p, hash); art != nil {
-				m.val = art
+			// Durable state first — a disk or peer hit skips the
+			// computation entirely (and does not count as one).
+			if val, ok := loadMemo(e, ctx, k, p, hash); ok {
+				m.val = val
 			} else {
 				e.countCompute()
-				m.val, m.err = stable.Analyze(p, stable.Options{Interrupt: ctx.Done()})
+				m.val, m.err = k.compute(ctx, p)
 				if m.err == nil {
-					payload, err := encodeStableArtifact(m.val)
-					e.saveArtifact(ArtifactStable, hash, payload, err)
+					payload, err := k.encode(m.val)
+					e.saveArtifact(k.name, hash, payload, err)
 				}
 			}
 			release()
@@ -485,69 +522,14 @@ func (e *Engine) stableFor(ctx context.Context, p *protocol.Protocol, hash strin
 			case <-m.ready:
 			case <-ctx.Done():
 				count(hit)
-				return nil, hit, ctx.Err()
+				return zero, hit, ctx.Err()
 			}
 			count(hit)
 		}
-		if errors.Is(m.err, stable.ErrInterrupted) {
+		if errors.Is(m.err, k.interrupt) {
 			e.evictIfCurrent(hash, a)
 			if err := ctx.Err(); err != nil {
-				return nil, hit, err
-			}
-			continue
-		}
-		return m.val, hit, m.err
-	}
-}
-
-// basisFor memoizes the realisable basis of a protocol, with the same
-// semantics as stableFor.
-func (e *Engine) basisFor(ctx context.Context, p *protocol.Protocol, hash string) ([]realise.TransitionMultiset, bool, error) {
-	counted := false
-	count := func(hit bool) {
-		if !counted {
-			e.countLookup(hit)
-			counted = true
-		}
-	}
-	for {
-		a := e.artifactsFor(hash)
-		m := &a.basis
-		hit := m.completed()
-		if m.started.CompareAndSwap(false, true) {
-			count(false)
-			release, err := e.acquire(ctx)
-			if err != nil {
-				m.err = dioph.ErrInterrupted
-				close(m.ready)
-				e.evictIfCurrent(hash, a)
-				return nil, false, err
-			}
-			if basis, ok := e.loadBasis(ctx, p, hash); ok {
-				m.val = basis
-			} else {
-				e.countCompute()
-				m.val, m.err = realise.Basis(p, dioph.Options{Interrupt: ctx.Done()})
-				if m.err == nil {
-					payload, err := encodeBasisArtifact(m.val)
-					e.saveArtifact(ArtifactBasis, hash, payload, err)
-				}
-			}
-			release()
-			close(m.ready)
-		} else {
-			select {
-			case <-m.ready:
-			case <-ctx.Done():
-				count(hit)
-				return nil, hit, ctx.Err()
-			}
-			count(hit)
-		}
-		if errors.Is(m.err, dioph.ErrInterrupted) {
-			e.evictIfCurrent(hash, a)
-			if err := ctx.Err(); err != nil {
-				return nil, hit, err
+				return zero, hit, err
 			}
 			continue
 		}
@@ -564,7 +546,7 @@ func (e *Engine) doSimulate(ctx context.Context, req Request, entry protocols.En
 	c0 := p.InitialConfig(in)
 	opts := sim.Options{Seed: req.Seed, MaxSteps: req.MaxSteps, TraceEvery: req.TraceEvery, Interrupt: ctx.Done()}
 	if req.ExactOracle {
-		a, hit, err := e.stableFor(ctx, p, hash)
+		a, hit, err := memoized(e, ctx, stableKind, p, hash)
 		if err != nil {
 			return fmt.Errorf("stable-set analysis: %w", err)
 		}
@@ -673,7 +655,7 @@ func (e *Engine) doVerify(ctx context.Context, req Request, entry protocols.Entr
 }
 
 func (e *Engine) doStable(ctx context.Context, entry protocols.Entry, hash string, res *Result) error {
-	a, hit, err := e.stableFor(ctx, entry.Protocol, hash)
+	a, hit, err := memoized(e, ctx, stableKind, entry.Protocol, hash)
 	if err != nil {
 		return err
 	}
@@ -696,7 +678,7 @@ func (e *Engine) doCertify(ctx context.Context, req Request, entry protocols.Ent
 	// The finders need the stable-set analysis (and, leaderless, the
 	// realisable basis) — the exact artifacts the engine memoizes. Inject
 	// them so repeated certify requests skip the dominant recomputation.
-	analysis, hit, err := e.stableFor(ctx, p, hash)
+	analysis, hit, err := memoized(e, ctx, stableKind, p, hash)
 	if err != nil {
 		return fmt.Errorf("stable-set analysis: %w", err)
 	}
@@ -719,7 +701,7 @@ func (e *Engine) doCertify(ctx context.Context, req Request, entry protocols.Ent
 		}
 		res.Certificate = &CertificateResult{Pipeline: "chain", A: cert.A, B: cert.B, Chain: cert}
 	default:
-		basis, basisHit, err := e.basisFor(ctx, p, hash)
+		basis, basisHit, err := memoized(e, ctx, basisKind, p, hash)
 		if err != nil {
 			return fmt.Errorf("realisable basis: %w", err)
 		}
@@ -757,7 +739,7 @@ func (e *Engine) doSaturate(ctx context.Context, entry protocols.Entry, res *Res
 }
 
 func (e *Engine) doBasis(ctx context.Context, entry protocols.Entry, hash string, res *Result) error {
-	basis, hit, err := e.basisFor(ctx, entry.Protocol, hash)
+	basis, hit, err := memoized(e, ctx, basisKind, entry.Protocol, hash)
 	if err != nil {
 		return err
 	}

@@ -1,16 +1,12 @@
 package ideal
 
-// This file implements the storage layer of the antichain core behind
-// UpSet: minimal elements live back to back in one flat []int64 arena
-// (dimension-strided views, append-only, so views handed out never
-// dangle), an open-addressing index over the raw coordinates (shared
-// wordhash hasher) rejects exact duplicates in O(1) without materializing
-// string keys, and a per-element signature — folded support bitmask plus
-// positive ∞-norm — prunes domination scans before any coordinate is
-// touched. The companion naive.go retains the pre-arena implementation
-// verbatim for differential tests and benchmarks.
-
-import "repro/internal/wordhash"
+// This file implements the domination layer of the antichain core behind
+// UpSet. Elements are stored in a vecset.Set (append-only arena, so views
+// handed out never dangle; its hash table rejects exact duplicates in
+// O(1)). A per-element signature — folded support bitmask plus positive
+// ∞-norm — prunes domination scans before any coordinate is touched. The
+// companion naive.go retains the pre-arena implementation verbatim for
+// differential tests and benchmarks.
 
 // sig is the domination-pruning signature of a minimal element m ∈ ℕ^d:
 //
@@ -20,8 +16,8 @@ import "repro/internal/wordhash"
 //     arena (folding at 64 keeps the test one word for any d).
 //   - norm: max over positive coordinates (‖m‖∞ on ℕ^d). m ≤ v forces
 //     norm(m) ≤ norm(v), the second one-word refutation.
-//   - hash: the element's raw-coordinate hash, cached so Clone and index
-//     growth never rehash.
+//   - hash: the element's raw-coordinate hash (vecset.Hash), cached so
+//     Clone never rehashes.
 type sig struct {
 	support uint64
 	norm    int64
@@ -63,121 +59,3 @@ func leWords(a, b []int64) bool {
 	}
 	return true
 }
-
-// leWordsRef is the retained word-at-a-time comparator — the before side of
-// BenchmarkLeWords and the oracle of the unrolled scan's equivalence tests.
-func leWordsRef(a, b []int64) bool {
-	for i, x := range a {
-		if x > b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// acIndex is the exact-duplicate index: open addressing with linear
-// probing over stored element ids, keyed by the raw-coordinate hash. Ids
-// of elements later removed from the antichain stay in the table — a stale
-// hit is still a correct "do not add" answer, because a removed element is
-// dominated by whatever removed it, so the set cannot grow by re-adding
-// it.
-type acIndex struct {
-	slots  []int32 // element id + 1; 0 = empty
-	hashes []uint64
-	used   int
-}
-
-// lookup reports whether an element with coordinates c (hash h) is stored.
-func (ix *acIndex) lookup(u *UpSet, c []int64, h uint64) bool {
-	if len(ix.slots) == 0 {
-		return false
-	}
-	mask := uint64(len(ix.slots) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		id := ix.slots[i]
-		if id == 0 {
-			return false
-		}
-		if ix.hashes[i] == h && eqWords(u.storedAt(id-1), c) {
-			return true
-		}
-	}
-}
-
-// add records stored element id under hash h. The element must not be in
-// the index.
-func (ix *acIndex) add(id int32, h uint64) {
-	if (ix.used+1)*4 > len(ix.slots)*3 {
-		ix.grow()
-	}
-	ix.insert(id, h)
-}
-
-func (ix *acIndex) insert(id int32, h uint64) {
-	mask := uint64(len(ix.slots) - 1)
-	i := h & mask
-	for ix.slots[i] != 0 {
-		i = (i + 1) & mask
-	}
-	ix.slots[i] = id + 1
-	ix.hashes[i] = h
-	ix.used++
-}
-
-// grow doubles the table (min 64 slots) and reinserts from the cached
-// hashes; the arena is not consulted.
-func (ix *acIndex) grow() {
-	newCap := 64
-	if len(ix.slots) > 0 {
-		newCap = len(ix.slots) * 2
-	}
-	oldSlots, oldHashes := ix.slots, ix.hashes
-	ix.slots = make([]int32, newCap)
-	ix.hashes = make([]uint64, newCap)
-	ix.used = 0
-	for i, id := range oldSlots {
-		if id != 0 {
-			ix.insert(id-1, oldHashes[i])
-		}
-	}
-}
-
-// eqWords reports a == b componentwise, unrolled 4-wide like leWords (it
-// sits on the duplicate-index probe path of every Insert).
-func eqWords(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		aq := a[i : i+4 : i+4]
-		bq := b[i : i+4 : i+4]
-		if aq[0] != bq[0] || aq[1] != bq[1] || aq[2] != bq[2] || aq[3] != bq[3] {
-			return false
-		}
-	}
-	for ; i < len(a); i++ {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// eqWordsRef is the retained word-at-a-time equality scan, kept as the
-// oracle and before side of the unrolled comparator's tests and benchmark.
-func eqWordsRef(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, x := range a {
-		if x != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// hashWords hashes the coordinates of an element with the shared
-// raw-coordinate hasher (FNV-1a + avalanche; see wordhash).
-func hashWords(w []int64) uint64 { return wordhash.Sum(w) }

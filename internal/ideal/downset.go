@@ -310,7 +310,7 @@ func ComplementUp(u *UpSet) *DownSet {
 	support := make([]int, 0, d)
 	var changed []Ideal
 	for _, mid := range u.ids {
-		m := u.storedAt(mid)
+		m := u.elems.At(mid)
 		support = support[:0]
 		for i, x := range m {
 			if x > 0 {

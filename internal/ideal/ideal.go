@@ -18,10 +18,11 @@
 //
 // UpSet is the antichain workhorse of the backward-coverability fixpoint in
 // internal/stable, so it is built for throughput: minimal elements live in
-// one flat arena (antichain.go), exact duplicates are rejected through a
-// raw-coordinate hash index, and domination scans are pruned by per-element
-// signatures. The pre-arena implementation is retained verbatim as
-// NaiveUpSet (naive.go) for differential tests and benchmarks.
+// a vecset.Set, which also rejects exact duplicates through its
+// raw-coordinate hash table, and domination scans are pruned by
+// per-element signatures (antichain.go). The pre-arena implementation is
+// retained verbatim as NaiveUpSet (naive.go) for differential tests and
+// benchmarks.
 package ideal
 
 import (
@@ -30,27 +31,31 @@ import (
 	"strings"
 
 	"repro/internal/multiset"
+	"repro/internal/vecset"
 )
 
 // Omega is the cap value denoting an unbounded (ω) coordinate of an Ideal.
 const Omega = int64(-1)
 
 // UpSet is an upward-closed subset of ℕ^d represented by its minimal
-// elements, stored in a flat arena (see antichain.go).
+// elements.
+//
+// Every element ever inserted stays a member of elems, removed ones
+// included. A stale duplicate hit is still a correct "do not add" answer:
+// a removed element is dominated by whatever removed it, so the set cannot
+// grow by re-adding it.
 type UpSet struct {
-	d      int
-	arena  []int64 // append-only element storage: id i at [i*d : (i+1)*d]
-	stored int     // elements ever stored (live + removed)
-	ids    []int32 // current antichain, in insertion order
-	sigs   []sig   // parallel to ids
-	live   []bool  // per stored id: still a minimal element?
-	index  acIndex
+	d     int
+	elems *vecset.Set // every element ever stored (live + removed)
+	ids   []int32     // current antichain, in insertion order
+	sigs  []sig       // parallel to ids
+	live  []bool      // per stored id: still a minimal element?
 }
 
 // NewUpSet returns the upward closure of the given generators (all of
 // dimension d; the empty generator list gives the empty set).
 func NewUpSet(d int, gens ...multiset.Vec) *UpSet {
-	u := &UpSet{d: d}
+	u := &UpSet{d: d, elems: vecset.New(d)}
 	u.Add(gens...)
 	return u
 }
@@ -65,24 +70,21 @@ func NewUpSet(d int, gens ...multiset.Vec) *UpSet {
 // duplicate element would silently corrupt the set).
 func RestoreUpSet(d int, basis []multiset.Vec) (*UpSet, error) {
 	u := &UpSet{
-		d:      d,
-		arena:  make([]int64, 0, len(basis)*d),
-		stored: len(basis),
-		ids:    make([]int32, len(basis)),
-		sigs:   make([]sig, len(basis)),
-		live:   make([]bool, len(basis)),
+		d:     d,
+		elems: vecset.New(d),
+		ids:   make([]int32, len(basis)),
+		sigs:  make([]sig, len(basis)),
+		live:  make([]bool, len(basis)),
 	}
 	for k, m := range basis {
 		if m.Dim() != d {
 			return nil, fmt.Errorf("ideal: restore element %d has dimension %d, want %d", k, m.Dim(), d)
 		}
-		u.arena = append(u.arena, m...)
-		u.ids[k] = int32(k)
+		h := vecset.Hash(m)
+		u.ids[k] = u.elems.Add(m, h)
 		u.live[k] = true
-		h := hashWords(m)
 		mask, norm := signatureOf(m)
 		u.sigs[k] = sig{support: mask, norm: norm, hash: h}
-		u.index.add(int32(k), h)
 	}
 	return u, nil
 }
@@ -114,7 +116,7 @@ func SortBasis(basis []multiset.Vec) []multiset.Vec {
 // byte-identical.
 func CanonicalUpSet(u *UpSet) *UpSet {
 	basis := SortBasis(u.MinBasis())
-	out := &UpSet{d: u.d}
+	out := NewUpSet(u.d)
 	for _, m := range basis {
 		// The input is an antichain, so every insert extends the arena and
 		// none evicts: arena order == canonical order.
@@ -129,18 +131,11 @@ func (u *UpSet) Dim() int { return u.d }
 // IsEmpty reports whether the set is empty.
 func (u *UpSet) IsEmpty() bool { return len(u.ids) == 0 }
 
-// storedAt returns stored element id as a raw view into the arena. Valid
-// for removed elements too: the arena is append-only.
-func (u *UpSet) storedAt(id int32) []int64 {
-	o := int(id) * u.d
-	return u.arena[o : o+u.d : o+u.d]
-}
-
 // At returns a read-only view of stored element id (as returned by
 // Insert). The view stays valid and unchanged for the lifetime of the set,
 // even after the element is removed from the antichain; callers must not
 // modify it.
-func (u *UpSet) At(id int) multiset.Vec { return multiset.Vec(u.storedAt(int32(id))) }
+func (u *UpSet) At(id int) multiset.Vec { return multiset.Vec(u.elems.At(int32(id))) }
 
 // Alive reports whether stored element id is still a minimal element of
 // the set.
@@ -149,7 +144,7 @@ func (u *UpSet) Alive(id int) bool { return u.live[id] }
 // Stored returns the number of elements ever stored in the arena, alive or
 // not: valid ids are exactly [0, Stored()). Iterating Stored() ids and
 // filtering by Alive enumerates the current antichain in arena order.
-func (u *UpSet) Stored() int { return u.stored }
+func (u *UpSet) Stored() int { return u.elems.Len() }
 
 // Contains reports whether v belongs to the set.
 func (u *UpSet) Contains(v multiset.Vec) bool {
@@ -168,7 +163,7 @@ func (u *UpSet) dominatedSig(v []int64, vmask uint64, vnorm int64) bool {
 		if s.support&^vmask != 0 || s.norm > vnorm {
 			continue
 		}
-		if leWords(u.storedAt(id), v) {
+		if leWords(u.elems.At(id), v) {
 			return true
 		}
 	}
@@ -182,10 +177,10 @@ func (u *UpSet) Insert(g multiset.Vec) (id int, grew bool) {
 	if g.Dim() != u.d {
 		panic(fmt.Sprintf("ideal: generator dimension %d, want %d", g.Dim(), u.d))
 	}
-	h := hashWords(g)
+	h := vecset.Hash(g)
 	// Exact duplicate: either still minimal, or removed by a dominator —
 	// in both cases the set cannot grow.
-	if u.index.lookup(u, g, h) {
+	if _, dup := u.elems.Find(g, h); dup {
 		return -1, false
 	}
 	gmask, gnorm := signatureOf(g)
@@ -198,7 +193,7 @@ func (u *UpSet) Insert(g multiset.Vec) (id int, grew bool) {
 	keptSigs := u.sigs[:0]
 	for k, mid := range u.ids {
 		s := u.sigs[k]
-		if gmask&^s.support == 0 && gnorm <= s.norm && leWords(g, u.storedAt(mid)) {
+		if gmask&^s.support == 0 && gnorm <= s.norm && leWords(g, u.elems.At(mid)) {
 			u.live[mid] = false
 			continue
 		}
@@ -207,11 +202,8 @@ func (u *UpSet) Insert(g multiset.Vec) (id int, grew bool) {
 	}
 	u.ids, u.sigs = keptIDs, keptSigs
 
-	nid := int32(u.stored)
-	u.arena = append(u.arena, g...)
-	u.stored++
+	nid := u.elems.Add(g, h)
 	u.live = append(u.live, true)
-	u.index.add(nid, h)
 	u.ids = append(u.ids, nid)
 	u.sigs = append(u.sigs, sig{support: gmask, norm: gnorm, hash: h})
 	return int(nid), true
@@ -234,7 +226,7 @@ func (u *UpSet) Add(gens ...multiset.Vec) bool {
 func (u *UpSet) MinBasis() []multiset.Vec {
 	out := make([]multiset.Vec, len(u.ids))
 	for k, id := range u.ids {
-		out[k] = multiset.Vec(u.storedAt(id)).Clone()
+		out[k] = multiset.Vec(u.elems.At(id)).Clone()
 	}
 	return out
 }
@@ -260,19 +252,16 @@ func (u *UpSet) Norm() int64 {
 func (u *UpSet) Clone() *UpSet {
 	n := len(u.ids)
 	out := &UpSet{
-		d:      u.d,
-		arena:  make([]int64, 0, n*u.d),
-		stored: n,
-		ids:    make([]int32, n),
-		sigs:   make([]sig, n),
-		live:   make([]bool, n),
+		d:     u.d,
+		elems: vecset.New(u.d),
+		ids:   make([]int32, n),
+		sigs:  make([]sig, n),
+		live:  make([]bool, n),
 	}
 	copy(out.sigs, u.sigs)
 	for k, id := range u.ids {
-		out.arena = append(out.arena, u.storedAt(id)...)
-		out.ids[k] = int32(k)
+		out.ids[k] = out.elems.Add(u.elems.At(id), u.sigs[k].hash)
 		out.live[k] = true
-		out.index.add(int32(k), u.sigs[k].hash)
 	}
 	return out
 }
@@ -282,7 +271,7 @@ func (u *UpSet) Clone() *UpSet {
 func (u *UpSet) Union(v *UpSet) *UpSet {
 	out := u.Clone()
 	for _, id := range v.ids {
-		out.Insert(multiset.Vec(v.storedAt(id)))
+		out.Insert(multiset.Vec(v.elems.At(id)))
 	}
 	return out
 }
@@ -295,9 +284,9 @@ func (u *UpSet) Intersect(v *UpSet) *UpSet {
 	}
 	var gens []multiset.Vec
 	for _, a := range u.ids {
-		av := multiset.Vec(u.storedAt(a))
+		av := multiset.Vec(u.elems.At(a))
 		for _, b := range v.ids {
-			gens = append(gens, av.Max(multiset.Vec(v.storedAt(b))))
+			gens = append(gens, av.Max(multiset.Vec(v.elems.At(b))))
 		}
 	}
 	return NewUpSet(u.d, multiset.Minimal(gens)...)
@@ -309,12 +298,12 @@ func (u *UpSet) Equal(v *UpSet) bool {
 		return false
 	}
 	for _, id := range u.ids {
-		if !v.Contains(multiset.Vec(u.storedAt(id))) {
+		if !v.Contains(multiset.Vec(u.elems.At(id))) {
 			return false
 		}
 	}
 	for _, id := range v.ids {
-		if !u.Contains(multiset.Vec(v.storedAt(id))) {
+		if !u.Contains(multiset.Vec(v.elems.At(id))) {
 			return false
 		}
 	}
@@ -325,7 +314,7 @@ func (u *UpSet) Equal(v *UpSet) bool {
 func (u *UpSet) String() string {
 	parts := make([]string, len(u.ids))
 	for k, id := range u.ids {
-		parts[k] = multiset.Vec(u.storedAt(id)).String()
+		parts[k] = multiset.Vec(u.elems.At(id)).String()
 	}
 	return "↑{" + strings.Join(parts, ", ") + "}"
 }

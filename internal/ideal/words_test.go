@@ -5,8 +5,19 @@ import (
 	"testing"
 )
 
+// leWordsRef is the word-at-a-time comparator — the before side of
+// BenchmarkLeWords and the oracle of the unrolled scan's equivalence tests.
+func leWordsRef(a, b []int64) bool {
+	for i, x := range a {
+		if x > b[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // randWords draws a coordinate slice with small values, biased toward ties
-// so the equality and domination scans exercise their late-exit paths.
+// so the domination scan exercises its late-exit paths.
 func randWords(rng *rand.Rand, n int) []int64 {
 	w := make([]int64, n)
 	for i := range w {
@@ -36,31 +47,9 @@ func TestLeWordsMatchesRef(t *testing.T) {
 	}
 }
 
-// TestEqWordsMatchesRef pins the unrolled equality scan the same way,
-// including the length-mismatch early exit.
-func TestEqWordsMatchesRef(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for n := 0; n <= 19; n++ {
-		for trial := 0; trial < 400; trial++ {
-			a, b := randWords(rng, n), randWords(rng, n)
-			if trial%2 == 0 {
-				copy(b, a)
-				if n > 0 && trial%4 == 0 {
-					b[rng.Intn(n)] ^= 1 // single-coordinate flip
-				}
-			}
-			if got, want := eqWords(a, b), eqWordsRef(a, b); got != want {
-				t.Fatalf("eqWords(%v, %v) = %t, ref %t", a, b, got, want)
-			}
-			if got, want := eqWords(a, b[:max(0, n-1)]), eqWordsRef(a, b[:max(0, n-1)]); got != want {
-				t.Fatalf("eqWords length mismatch = %t, ref %t", got, want)
-			}
-		}
-	}
-}
-
-// FuzzWordScans cross-checks both unrolled comparators against their
-// references on arbitrary byte-derived coordinate pairs.
+// FuzzWordScans cross-checks the unrolled domination scan against its
+// reference on arbitrary byte-derived coordinate pairs (the equality scan's
+// counterpart is vecset's FuzzEqual).
 func FuzzWordScans(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 1, 2, 3, 4})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 1})
@@ -75,9 +64,6 @@ func FuzzWordScans(f *testing.F) {
 		}
 		if got, want := leWords(a, b), leWordsRef(a, b); got != want {
 			t.Fatalf("leWords(%v, %v) = %t, ref %t", a, b, got, want)
-		}
-		if got, want := eqWords(a, b), eqWordsRef(a, b); got != want {
-			t.Fatalf("eqWords(%v, %v) = %t, ref %t", a, b, got, want)
 		}
 	})
 }

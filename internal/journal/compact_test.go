@@ -264,3 +264,50 @@ func TestCompactSizeBudgetRemovesOldestDoneFirst(t *testing.T) {
 		}
 	}
 }
+
+// TestCompactLeavesCorruptTailDoneWAL: a done WAL whose tail is torn
+// awaits replay repair, so no compaction policy may touch it — not the
+// stub rewrite, not age-based retention, not the size budget.
+func TestCompactLeavesCorruptTailDoneWAL(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeSweep(t, s, "tornsweep", 8, true)
+	path := filepath.Join(s.Dir(), "tornsweep.wal")
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{0x10, 0, 0}); err != nil { // torn frame header
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	old := time.Now().Add(-48 * time.Hour)
+	if err := os.Chtimes(path, old, old); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, r := range []Retention{{}, {Retain: time.Hour}, {MaxBytes: 1}} {
+		stats, err := s.Compact(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Compacted != 0 || stats.Removed != 0 {
+			t.Fatalf("%+v: stats = %+v, want the torn WAL untouched", r, stats)
+		}
+		after, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%+v: torn WAL gone: %v", r, err)
+		}
+		if string(after) != string(before) {
+			t.Fatalf("%+v: torn WAL rewritten (%d bytes, was %d)", r, len(after), len(before))
+		}
+	}
+}

@@ -206,42 +206,49 @@ func (j *Sweep) replay() error {
 	if _, err := j.f.Seek(0, io.SeekStart); err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
-	var (
-		offset int64
-		header [8]byte
-	)
-	for {
-		if _, err := io.ReadFull(j.f, header[:]); err != nil {
-			if errors.Is(err, io.EOF) {
-				break // clean end
-			}
-			// Torn header: a crash mid-append. Repair below.
-			return j.truncate(offset)
-		}
-		n := binary.LittleEndian.Uint32(header[:4])
-		if n == 0 || n > maxRecord {
-			return j.truncate(offset)
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(j.f, payload); err != nil {
-			return j.truncate(offset)
-		}
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(header[4:]) {
-			return j.truncate(offset)
-		}
-		var rec record
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return j.truncate(offset)
-		}
+	recs, offset, clean := readFrames(j.f)
+	for _, rec := range recs {
 		j.apply(rec)
-		offset += 8 + int64(n)
 	}
-	// Position at the end for appends (ReadFull stopped exactly there on a
-	// clean EOF, but be explicit).
+	if !clean {
+		return j.truncate(offset)
+	}
+	// Position at the end for appends (the reader stopped exactly there on
+	// a clean EOF, but be explicit).
 	if _, err := j.f.Seek(offset, io.SeekStart); err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
 	return nil
+}
+
+// readFrames decodes WAL frames from r up to the end or the first torn or
+// corrupt frame. It returns the decoded records, the offset just past the
+// last valid frame, and whether the input ended cleanly there.
+func readFrames(r io.Reader) (recs []record, offset int64, clean bool) {
+	var header [8]byte
+	for {
+		if _, err := io.ReadFull(r, header[:]); err != nil {
+			// A clean end, or a torn header from a crash mid-append.
+			return recs, offset, errors.Is(err, io.EOF)
+		}
+		n := binary.LittleEndian.Uint32(header[:4])
+		if n == 0 || n > maxRecord {
+			return recs, offset, false
+		}
+		payload := make([]byte, n)
+		if _, err := io.ReadFull(r, payload); err != nil {
+			return recs, offset, false
+		}
+		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(header[4:]) {
+			return recs, offset, false
+		}
+		var rec record
+		if err := json.Unmarshal(payload, &rec); err != nil {
+			return recs, offset, false
+		}
+		recs = append(recs, rec)
+		offset += 8 + int64(n)
+	}
 }
 
 // truncate repairs a corrupt tail: everything before offset replayed

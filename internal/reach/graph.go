@@ -12,11 +12,11 @@
 // IC(v) is a b-consensus (all its configurations have output b), and the
 // protocol computes ϕ on input v iff this holds with b = ϕ(v).
 //
-// The exploration core is built for throughput: configurations live
-// dimension-strided in one flat arena, successor lists are a single CSR
-// (compressed sparse row) structure, and deduplication goes through an
-// open-addressing index that hashes the raw coordinates — no per-node
-// allocations on the hot path. See docs/performance.md for the layout and
+// The exploration core is built for throughput: configurations live in a
+// vecset.Set (one flat arena plus one open-addressing table over the raw
+// coordinates), whose member ids are the node ids, and successor lists are
+// a single CSR (compressed sparse row) structure — no per-node allocations
+// on the hot path. See docs/performance.md for the layout and
 // the determinism guarantees.
 package reach
 
@@ -27,6 +27,7 @@ import (
 
 	"repro/internal/multiset"
 	"repro/internal/protocol"
+	"repro/internal/vecset"
 )
 
 // ErrLimitExceeded is returned when exploration would exceed the
@@ -64,9 +65,8 @@ type Step struct {
 // (source node, transition index) of the discovering edge), so each BFS
 // level is a contiguous id range.
 type Graph struct {
-	p     *protocol.Protocol
-	store configStore
-	idx   nodeIndex
+	p       *protocol.Protocol
+	configs *vecset.Set // node i is member i
 	// Successor lists in CSR form: the successors of node i are
 	// succ[succOff[i]:succOff[i+1]] (identity self-loops omitted,
 	// duplicate edges collapsed).
@@ -139,11 +139,10 @@ func clampLimit(limit int) int {
 func newGraph(p *protocol.Protocol, start protocol.Config) *Graph {
 	g := &Graph{
 		p:       p,
-		store:   configStore{dim: p.NumStates()},
+		configs: vecset.New(p.NumStates()),
 		succOff: make([]int64, 1, 1024),
 	}
-	g.store.add(start)
-	g.idx.add(0, hashWords(start))
+	g.configs.Add(start, vecset.Hash(start))
 	g.parent = append(g.parent, -1)
 	g.parentTran = append(g.parentTran, -1)
 	g.depth = append(g.depth, 0)
@@ -163,12 +162,12 @@ func exploreCore(p *protocol.Protocol, start protocol.Config, limit int, stop <-
 		return g, nil
 	}
 	trans := compactTransitions(p)
-	next := make([]int64, g.store.dim)
-	for head := 0; head < g.store.n; head++ {
+	next := make([]int64, g.configs.Dim())
+	for head := 0; head < g.configs.Len(); head++ {
 		if head&1023 == 0 && interrupted(stop) {
 			return nil, ErrInterrupted
 		}
-		c := g.store.at(int32(head))
+		c := g.configs.At(int32(head))
 		d := g.depth[head]
 		segStart := len(g.succ) // this node's successor segment under construction
 		for _, t := range trans {
@@ -184,14 +183,13 @@ func exploreCore(p *protocol.Protocol, start protocol.Config, limit int, stop <-
 			next[t.q]--
 			next[t.p2]++
 			next[t.q2]++
-			h := hashWords(next)
-			j, ok := g.idx.lookup(&g.store, next, h)
+			h := vecset.Hash(next)
+			j, ok := g.configs.Find(next, h)
 			if !ok {
-				if g.store.n >= limit {
+				if g.configs.Len() >= limit {
 					return nil, fmt.Errorf("%w: limit %d from %s", ErrLimitExceeded, limit, p.FormatConfig(start))
 				}
-				j = g.store.add(next)
-				g.idx.add(j, h)
+				j = g.configs.Add(next, h)
 				g.parent = append(g.parent, int32(head))
 				g.parentTran = append(g.parentTran, t.idx)
 				g.depth = append(g.depth, d+1)
@@ -200,7 +198,7 @@ func exploreCore(p *protocol.Protocol, start protocol.Config, limit int, stop <-
 				}
 				// The arena may have been reallocated; refresh the view of
 				// the head configuration (contents are unchanged either way).
-				c = g.store.at(int32(head))
+				c = g.configs.At(int32(head))
 			}
 			if int(j) == head {
 				continue
@@ -226,11 +224,11 @@ func exploreCore(p *protocol.Protocol, start protocol.Config, limit int, stop <-
 func (g *Graph) Protocol() *protocol.Protocol { return g.p }
 
 // Len returns the number of reachable configurations.
-func (g *Graph) Len() int { return g.store.n }
+func (g *Graph) Len() int { return g.configs.Len() }
 
 // Config returns configuration i. The returned vector is a view into the
 // graph's arena and must not be modified.
-func (g *Graph) Config(i int) protocol.Config { return protocol.Config(g.store.at(int32(i))) }
+func (g *Graph) Config(i int) protocol.Config { return protocol.Config(g.configs.At(int32(i))) }
 
 // Start returns the start configuration (node 0).
 func (g *Graph) Start() protocol.Config { return g.Config(0) }
@@ -241,10 +239,10 @@ func (g *Graph) Depth(i int) int { return int(g.depth[i]) }
 
 // IndexOf returns the node index of configuration c.
 func (g *Graph) IndexOf(c protocol.Config) (int, bool) {
-	if c.Dim() != g.store.dim {
+	if c.Dim() != g.configs.Dim() {
 		return 0, false
 	}
-	i, ok := g.idx.lookup(&g.store, c, hashWords(c))
+	i, ok := g.configs.Find(c, vecset.Hash(c))
 	return int(i), ok
 }
 
@@ -299,7 +297,7 @@ func (g *Graph) CanReach(target protocol.Config) bool {
 // Filter returns the indices of configurations satisfying keep.
 func (g *Graph) Filter(keep func(protocol.Config) bool) []int {
 	var out []int
-	for i := 0; i < g.store.n; i++ {
+	for i := 0; i < g.configs.Len(); i++ {
 		if keep(g.Config(i)) {
 			out = append(out, i)
 		}

@@ -90,28 +90,17 @@ func Analyze(p *protocol.Protocol, opts Options) (*Analysis, error) {
 		if err != nil {
 			return nil, fmt.Errorf("computing U_%d: %w", b, err)
 		}
-		a.setUnstable(b, u, iters, expanded)
+		// The antichain is rebuilt in canonical element order, so an
+		// analysis restored from a durable artifact (RestoreDerived)
+		// exposes an identical MinBasis and identical derived structures.
+		a.unstable[b] = ideal.CanonicalUpSet(u)
+		a.iterations[b] = iters
+		a.frontier[b] = expanded
+		a.sc[b] = ideal.ComplementUp(a.unstable[b])
 	}
-	a.finish()
-	return a, nil
-}
-
-// setUnstable installs a computed U_b fixpoint: the antichain is rebuilt in
-// canonical element order, so every execution path that arrives at the same
-// set — computed or restored from a durable artifact — exposes an
-// identical MinBasis and identical derived structures.
-func (a *Analysis) setUnstable(b int, u *ideal.UpSet, iters, expanded int) {
-	cu := ideal.CanonicalUpSet(u)
-	a.unstable[b] = cu
-	a.iterations[b] = iters
-	a.frontier[b] = expanded
-	a.sc[b] = ideal.ComplementUp(cu)
-}
-
-// finish computes the SC union and its basis from the installed halves.
-func (a *Analysis) finish() {
 	a.scAll = a.sc[0].Union(a.sc[1])
 	a.scAllBasis = basisOf(a.scAll)
+	return a, nil
 }
 
 // predRow is one non-identity transition of the pred-basis step: the

@@ -8,70 +8,8 @@ import (
 	"repro/internal/protocol"
 	"repro/internal/protocols"
 	"repro/internal/sim"
-	"repro/internal/wordhash"
+	"repro/internal/vecset"
 )
-
-// configIndex maps configurations to dense ids for the brute-force
-// propagation: open addressing keyed by the raw-coordinate hash
-// (internal/wordhash), the same playbook as the reach node index and the
-// dioph candidate set — no string keys materialized per configuration.
-type configIndex struct {
-	configs []multiset.Vec
-	slots   []int32 // config id + 1; 0 = empty
-	hashes  []uint64
-}
-
-func (ix *configIndex) lookup(c multiset.Vec) (int, bool) {
-	if len(ix.slots) == 0 {
-		return 0, false
-	}
-	h := wordhash.Sum(c)
-	mask := uint64(len(ix.slots) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		id := ix.slots[i]
-		if id == 0 {
-			return 0, false
-		}
-		if ix.hashes[i] == h && ix.configs[id-1].Equal(c) {
-			return int(id - 1), true
-		}
-	}
-}
-
-// add inserts a copy of c (which must not be present) and returns its id.
-func (ix *configIndex) add(c multiset.Vec) int {
-	if (len(ix.configs)+1)*4 > len(ix.slots)*3 {
-		ix.grow()
-	}
-	ix.configs = append(ix.configs, c.Clone())
-	ix.insert(int32(len(ix.configs)), wordhash.Sum(c))
-	return len(ix.configs) - 1
-}
-
-func (ix *configIndex) insert(idPlus1 int32, h uint64) {
-	mask := uint64(len(ix.slots) - 1)
-	i := h & mask
-	for ix.slots[i] != 0 {
-		i = (i + 1) & mask
-	}
-	ix.slots[i] = idPlus1
-	ix.hashes[i] = h
-}
-
-func (ix *configIndex) grow() {
-	newCap := 64
-	if len(ix.slots) > 0 {
-		newCap = len(ix.slots) * 2
-	}
-	oldSlots, oldHashes := ix.slots, ix.hashes
-	ix.slots = make([]int32, newCap)
-	ix.hashes = make([]uint64, newCap)
-	for i, id := range oldSlots {
-		if id != 0 {
-			ix.insert(id, oldHashes[i])
-		}
-	}
-}
 
 // bruteStable computes b-stability for every configuration of size s by
 // explicit backward propagation over the full size-s configuration space —
@@ -80,13 +18,13 @@ func (ix *configIndex) grow() {
 // stability flags, index-aligned.
 func bruteStable(p *protocol.Protocol, s int64, b int) ([]multiset.Vec, []bool) {
 	d := p.NumStates()
-	ix := &configIndex{}
+	set := vecset.New(d)
 	cur := multiset.New(d)
 	var rec func(i int, left int64)
 	rec = func(i int, left int64) {
 		if i == d-1 {
 			cur[i] = left
-			ix.add(cur)
+			set.Insert(cur)
 			cur[i] = 0
 			return
 		}
@@ -97,7 +35,10 @@ func bruteStable(p *protocol.Protocol, s int64, b int) ([]multiset.Vec, []bool) 
 		cur[i] = 0
 	}
 	rec(0, s)
-	configs := ix.configs
+	configs := make([]multiset.Vec, set.Len())
+	for i := range configs {
+		configs[i] = multiset.Vec(set.At(int32(i)))
+	}
 
 	// bad[i]: configuration covers a state with output ≠ b.
 	bad := make([]bool, len(configs))
@@ -116,11 +57,12 @@ func bruteStable(p *protocol.Protocol, s int64, b int) ([]multiset.Vec, []bool) 
 			if !p.Enabled(c, t) || p.Displacement(t).IsZero() {
 				continue
 			}
-			j, ok := ix.lookup(c.Add(p.Displacement(t)))
+			next := c.Add(p.Displacement(t))
+			j, ok := set.Find(next, vecset.Hash(next))
 			if !ok {
 				panic("bruteStable: successor escaped the size-s slice")
 			}
-			succs[i] = append(succs[i], j)
+			succs[i] = append(succs[i], int(j))
 		}
 	}
 	changed := true
