@@ -88,7 +88,6 @@ func run(args []string) error {
 		timeout       = fs.Duration("timeout", 30*time.Second, "default per-request deadline")
 		maxTimeout    = fs.Duration("max-timeout", 2*time.Minute, "ceiling for request-supplied deadlines")
 		sweepTimeout  = fs.Duration("sweep-timeout", 10*time.Minute, "deadline for a whole /v1/sweep request")
-		sweepWorkers  = fs.Int("sweep-workers", 0, "worker-pool size per sweep (0 = GOMAXPROCS)")
 		pprofAddr     = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty = disabled")
 		metricsAddr   = fs.String("metrics", "", "additionally serve GET /metrics on its own address (e.g. localhost:9090); the API address always serves /metrics")
 		slots         = fs.Int("slots", 0, "engine execution slots (0 = GOMAXPROCS)")
@@ -171,7 +170,6 @@ func run(args []string) error {
 		DefaultTimeout: *timeout,
 		MaxTimeout:     *maxTimeout,
 		SweepTimeout:   *sweepTimeout,
-		SweepWorkers:   *sweepWorkers,
 		MaxQueue:       *maxQueue,
 		RateLimit:      *rateLimit,
 		RateBurst:      *rateBurst,

@@ -172,26 +172,9 @@ func runCluster(ctx context.Context, base string, spec []byte, onCell func(sweep
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<12))
 		return nil, fmt.Errorf("cluster sweep: status %d: %s", resp.StatusCode, bytes.TrimSpace(msg))
 	}
-	var res *sweep.Result
-	dec := json.NewDecoder(resp.Body)
-	for {
-		var row sweep.StreamRow
-		if err := dec.Decode(&row); err != nil {
-			if err == io.EOF {
-				break
-			}
-			return res, fmt.Errorf("cluster sweep: reading stream: %w", err)
-		}
-		switch row.Type {
-		case "cell":
-			if row.Cell != nil {
-				onCell(*row.Cell)
-			}
-		case "summary":
-			res = row.Summary
-		case "error":
-			return res, fmt.Errorf("cluster sweep: %s", row.Error)
-		}
+	res, err := sweep.ReadStream(resp.Body, onCell)
+	if err != nil {
+		return res, fmt.Errorf("cluster sweep: %w", err)
 	}
 	if res == nil {
 		return nil, errors.New("cluster sweep: stream ended without a summary row")

@@ -20,19 +20,11 @@ import (
 
 // DispatchOptions configures one fanned-out sweep.
 type DispatchOptions struct {
-	// Client performs the worker HTTP calls (default: a fresh client with
-	// no global timeout — per-range deadlines bound each call).
-	Client *http.Client
-	// Resolver maps protocol references to routing hashes (default:
-	// EngineResolver(LocalEngine)).
-	Resolver Resolver
-	// LocalEngine executes cells locally when no worker can: an empty
-	// membership runs the whole sweep in-process, and a task that exhausts
-	// MaxAttempts remote attempts completes on the coordinator. Required.
+	// LocalEngine executes the cells no worker can take: with an empty
+	// membership the whole grid runs on it, and a task that exhausts
+	// maxAttempts remote attempts completes on the coordinator. It also
+	// resolves protocol references to routing hashes. Required.
 	LocalEngine *engine.Engine
-	// LocalWorkers is the worker-pool size of a full-local run (0 =
-	// GOMAXPROCS).
-	LocalWorkers int
 	// RangeCells caps cells per dispatched range — the retry granularity
 	// (default 64).
 	RangeCells int
@@ -40,9 +32,6 @@ type DispatchOptions struct {
 	// spec sets a per-cell timeout, each range's deadline additionally
 	// budgets cells × timeout.
 	RangeTimeout time.Duration
-	// MaxAttempts bounds remote dispatch attempts per range before its
-	// cells fall back to local execution (default 3).
-	MaxAttempts int
 	// OnCell observes every merged cell in grid-index order — the
 	// deterministic stream. Calls are serialized; a slow observer
 	// backpressures the dispatcher.
@@ -51,9 +40,6 @@ type DispatchOptions struct {
 	// LocalWorkerLabel for local execution) before it runs — the durable
 	// journal's range records. Calls may be concurrent across workers.
 	OnDispatch func(worker string, cells []sweep.IndexRange)
-	// DiscardCells leaves Result.Cells empty (streaming consumers saw each
-	// cell via OnCell).
-	DiscardCells bool
 	// Log receives dispatcher events (nil = discard).
 	Log *slog.Logger
 }
@@ -62,26 +48,25 @@ func (o DispatchOptions) withDefaults() (DispatchOptions, error) {
 	if o.LocalEngine == nil {
 		return o, errors.New("cluster: DispatchOptions.LocalEngine is required")
 	}
-	if o.Client == nil {
-		o.Client = &http.Client{}
-	}
-	if o.Resolver == nil {
-		o.Resolver = EngineResolver(o.LocalEngine)
-	}
 	if o.RangeCells <= 0 {
 		o.RangeCells = 64
 	}
 	if o.RangeTimeout <= 0 {
 		o.RangeTimeout = 2 * time.Minute
 	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 3
-	}
 	if o.Log == nil {
 		o.Log = slog.New(slog.DiscardHandler)
 	}
 	return o, nil
 }
+
+// maxAttempts bounds remote dispatch attempts per range before its cells
+// fall back to local execution.
+const maxAttempts = 3
+
+// dispatchClient performs the worker range calls. It has no global
+// timeout: per-range deadlines bound each call.
+var dispatchClient = &http.Client{}
 
 // maxSheds bounds consecutive 503 backpressure retries of one range before
 // the worker is treated as failed.
@@ -103,10 +88,12 @@ func (e *shedError) Error() string {
 // Sweep fans a sweep spec out across the registered workers and returns the
 // merged aggregate. Cells are partitioned by protocol content hash (cache
 // affinity), dispatched as ranges with per-range deadlines, and retried on
-// survivors when a worker fails, drains or goes silent; when no live worker
-// remains the remaining cells execute locally. OnCell observes the merged
-// cells in grid-index order, and the final Result is the one the
-// single-process executor would have produced for the same spec.
+// survivors when a worker fails, drains or goes silent; cells no live
+// worker can take — the whole grid when the membership is empty — run on
+// the coordinator's local queue. OnCell observes the merged cells in
+// grid-index order, and the final Result is the one the single-process
+// executor would have produced for the same spec. The Result retains no
+// cells: OnCell already saw each one.
 func (c *Coordinator) Sweep(ctx context.Context, spec sweep.Spec, opts DispatchOptions) (*sweep.Result, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
@@ -117,33 +104,14 @@ func (c *Coordinator) Sweep(ctx context.Context, spec sweep.Spec, opts DispatchO
 		return nil, err
 	}
 	live := c.Routable()
-	if len(live) == 0 {
-		// Degraded mode: no workers registered — the coordinator is just a
-		// single-process executor. A collector-less merger still reorders
-		// the stream, so OnCell sees grid order in this mode too.
-		opts.Log.Info("cluster sweep: no live workers, running locally",
-			"sweep", spec.Name, "cells", len(cells))
-		if opts.OnDispatch != nil {
-			opts.OnDispatch(LocalWorkerLabel, sweep.Ranges(indicesOf(cells)))
-		}
-		reorder := sweep.NewMerger(cells, nil, opts.OnCell)
-		return sweep.Run(ctx, opts.LocalEngine, spec, sweep.RunOptions{
-			Workers:      opts.LocalWorkers,
-			OnCell:       func(cr sweep.CellResult) { reorder.Add(cr) },
-			DiscardCells: opts.DiscardCells,
-		})
-	}
-	groups, err := groupByHash(cells, opts.Resolver)
-	if err != nil {
-		return nil, err
-	}
+	groups := groupByHash(cells, opts.LocalEngine)
 	tasks := chunk(groups, opts.RangeCells)
 	opts.Log.Info("cluster sweep: dispatching",
 		"sweep", spec.Name, "cells", len(cells), "protocols", len(groups),
 		"ranges", len(tasks), "workers", len(live))
 
 	start := time.Now()
-	col := sweep.NewCollector(spec.Name, len(cells), len(live), opts.DiscardCells)
+	col := sweep.NewCollector(spec.Name, len(cells), len(live), true)
 	m := sweep.NewMerger(cells, col, opts.OnCell)
 	tctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -215,7 +183,7 @@ func (d *dispatcher) enqueueLocked(t *task) {
 		return
 	}
 	w, ok := Worker{}, false
-	if t.attempts < d.opts.MaxAttempts {
+	if t.attempts < maxAttempts {
 		w, ok = route(t.hash, d.coord.Routable())
 	}
 	routed := LocalWorkerLabel
@@ -358,36 +326,45 @@ func (d *dispatcher) requeue(id string, t *task, missing []sweep.Cell) {
 }
 
 // driveLocal executes the local queue on the coordinator's own engine —
-// the completion guarantee when no worker can take a range.
+// the completion guarantee when no worker can take a range. Each pass takes
+// every queued task and runs their union as one parallel local sweep, so
+// the tasks of an empty membership (all enqueued under d.mu before this
+// goroutine can take it) run as the whole grid at once, family chains
+// included.
 func (d *dispatcher) driveLocal() {
 	defer d.wg.Done()
 	for {
 		d.mu.Lock()
-		for {
-			if d.stop {
-				d.localDriving = false
-				d.mu.Unlock()
-				return
-			}
-			if len(d.localQ) > 0 {
-				break
-			}
+		for !d.stop && len(d.localQ) == 0 {
 			d.cond.Wait()
 		}
-		t := d.localQ[0]
-		d.localQ = d.localQ[1:]
+		if d.stop {
+			d.localDriving = false
+			d.mu.Unlock()
+			return
+		}
+		batch := d.localQ
+		d.localQ = nil
 		d.mu.Unlock()
 
-		d.coord.metrics.RangesDispatched.WithLabelValues(LocalWorkerLabel).Inc()
-		d.opts.Log.Info("cluster sweep: executing range locally", "cells", len(t.cells))
-		if d.opts.OnDispatch != nil {
-			d.opts.OnDispatch(LocalWorkerLabel, sweep.Ranges(t.indices()))
+		var indices []int
+		for _, t := range batch {
+			indices = append(indices, t.indices()...)
 		}
-		for _, c := range t.cells {
-			if d.ctx.Err() != nil {
-				break
-			}
-			d.m.Add(sweep.RunCell(d.ctx, d.opts.LocalEngine, d.spec, c))
+		sub := d.spec
+		sub.Cells = sweep.Ranges(indices)
+		d.coord.metrics.RangesDispatched.WithLabelValues(LocalWorkerLabel).Add(float64(len(batch)))
+		d.opts.Log.Info("cluster sweep: executing ranges locally",
+			"ranges", len(batch), "cells", len(indices))
+		if d.opts.OnDispatch != nil {
+			d.opts.OnDispatch(LocalWorkerLabel, sub.Cells)
+		}
+		_, err := sweep.Run(d.ctx, d.opts.LocalEngine, sub, sweep.RunOptions{
+			DiscardCells: true,
+			OnCell:       func(cr sweep.CellResult) { d.m.Add(cr) },
+		})
+		if err != nil && d.ctx.Err() == nil {
+			d.opts.Log.Warn("cluster sweep: local execution failed", "error", err)
 		}
 	}
 }
@@ -423,7 +400,7 @@ func (d *dispatcher) runTask(w Worker, t *task) (served int, missing []sweep.Cel
 		return 0, t.cells, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := d.opts.Client.Do(req)
+	resp, err := dispatchClient.Do(req)
 	if err != nil {
 		return 0, t.cells, err
 	}
@@ -443,37 +420,21 @@ func (d *dispatcher) runTask(w Worker, t *task) (served int, missing []sweep.Cel
 	}
 
 	got := make(map[int]bool, len(t.cells))
-	sawSummary := false
-	dec := json.NewDecoder(resp.Body)
-	for {
-		var row sweep.StreamRow
-		if derr := dec.Decode(&row); derr != nil {
-			if derr == io.EOF {
-				break
-			}
-			err = fmt.Errorf("worker %s: reading stream: %w", w.ID, derr)
-			break
+	summary, rerr := sweep.ReadStream(resp.Body, func(cr sweep.CellResult) {
+		got[cr.Index] = true
+		if d.m.Add(cr) {
+			served++
 		}
-		switch row.Type {
-		case "cell":
-			if row.Cell != nil {
-				got[row.Cell.Index] = true
-				if d.m.Add(*row.Cell) {
-					served++
-				}
-			}
-		case "summary":
-			sawSummary = true
-		case "error":
-			err = fmt.Errorf("worker %s: %s", w.ID, row.Error)
-		}
+	})
+	if rerr != nil {
+		err = fmt.Errorf("worker %s: %w", w.ID, rerr)
 	}
 	for _, c := range t.cells {
 		if !got[c.Index] {
 			missing = append(missing, c)
 		}
 	}
-	if err == nil && !sawSummary && len(missing) > 0 {
+	if err == nil && summary == nil && len(missing) > 0 {
 		err = fmt.Errorf("worker %s: stream truncated (%d cells missing)", w.ID, len(missing))
 	}
 	return served, missing, err
@@ -489,14 +450,4 @@ func parseRetryAfter(s string) time.Duration {
 		}
 	}
 	return min(retry, maxRetryAfter)
-}
-
-// indicesOf lists the grid indices of the expanded cells, for the
-// degraded-mode dispatch record.
-func indicesOf(cells []sweep.Cell) []int {
-	out := make([]int, len(cells))
-	for i, c := range cells {
-		out[i] = c.Index
-	}
-	return out
 }

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -208,16 +209,41 @@ func TestDispatchWorkerDeathMidSweep(t *testing.T) {
 	}
 }
 
-// TestDispatchNoWorkersRunsLocally: an empty membership degrades to the
-// local executor, still streaming in grid order with an equal canonical
-// result.
+// TestDispatchNoWorkersRunsLocally: with an empty membership every range
+// runs on the coordinator's local queue, still streaming in grid order with
+// an equal canonical result.
 func TestDispatchNoWorkersRunsLocally(t *testing.T) {
 	spec := integrationSpec()
 	wantCells, wantSummary := singleProcessReference(t, spec)
 
 	coord := cluster.NewCoordinator(cluster.CoordinatorOptions{})
-	gotCells, gotSummary := dispatchCanonical(t, coord, spec, cluster.DispatchOptions{LocalWorkers: 2})
+	gotCells, gotSummary := dispatchCanonical(t, coord, spec, cluster.DispatchOptions{})
 	assertEqualRuns(t, wantCells, wantSummary, gotCells, gotSummary)
+}
+
+// TestDispatchUnresolvableProtocolIsCellError: a protocol reference that
+// does not resolve fails its own cells, not the sweep — the coordinator
+// routes it like any other reference and the executing worker reports the
+// per-cell error, so the canonical stream and summary equal the
+// single-process run's (one cell ok, one failed).
+func TestDispatchUnresolvableProtocolIsCellError(t *testing.T) {
+	spec := sweep.Spec{
+		Name:      "unresolvable",
+		Protocols: []sweep.ProtocolAxis{{Spec: "flock:3"}, {Spec: "nosuch:3"}},
+		Kinds:     []engine.Kind{engine.KindStable},
+	}
+	wantCells, wantSummary := singleProcessReference(t, spec)
+	if len(wantCells) != 2 {
+		t.Fatalf("reference run: %d cells, want 2", len(wantCells))
+	}
+
+	coord := cluster.NewCoordinator(cluster.CoordinatorOptions{})
+	startWorker(t, coord, "w1", nil)
+	gotCells, gotSummary := dispatchCanonical(t, coord, spec, cluster.DispatchOptions{})
+	assertEqualRuns(t, wantCells, wantSummary, gotCells, gotSummary)
+	if !strings.Contains(gotSummary, `"failed":1`) {
+		t.Errorf("summary does not count the unresolvable cell as failed: %s", gotSummary)
+	}
 }
 
 // TestDispatchShedBackpressure: a worker that answers 503 + Retry-After is

@@ -171,22 +171,22 @@ func TestMetricsKilledWorkerOrphansThenRetries(t *testing.T) {
 	}
 }
 
-// TestMetricsNoWorkersDegradedMode: with an empty membership the sweep
-// bypasses the dispatcher entirely, so the range counters stay zero — the
-// degraded path is visible as members==0 with no dispatch traffic.
-func TestMetricsNoWorkersDegradedMode(t *testing.T) {
-	spec := integrationSpec()
+// TestMetricsNoWorkersRunsLocalQueue: with an empty membership the sweep
+// still goes through the dispatcher — every cell is routed to the local
+// queue and the local ranges are counted like any worker's.
+func TestMetricsNoWorkersRunsLocalQueue(t *testing.T) {
+	spec := integrationSpec() // 60 cells
 	coord := cluster.NewCoordinator(cluster.CoordinatorOptions{})
 	if _, err := coord.Sweep(context.Background(), spec, cluster.DispatchOptions{
-		LocalEngine: engine.New(), LocalWorkers: 2,
+		LocalEngine: engine.New(),
 	}); err != nil {
 		t.Fatal(err)
 	}
 	m := coord.Metrics()
-	if got := testutil.ToFloat64(m.RangesDispatched.WithLabelValues(cluster.LocalWorkerLabel)); got != 0 {
-		t.Errorf("degraded mode must not count dispatcher ranges, got %v", got)
+	if got := testutil.ToFloat64(m.CellsRouted.WithLabelValues(cluster.LocalWorkerLabel)); got != 60 {
+		t.Errorf("cells_routed{local} = %v, want 60", got)
 	}
-	if got := testutil.ToFloat64(m.CellsRouted.WithLabelValues(cluster.LocalWorkerLabel)); got != 0 {
-		t.Errorf("degraded mode must not count routing, got %v", got)
+	if got := testutil.ToFloat64(m.RangesDispatched.WithLabelValues(cluster.LocalWorkerLabel)); got <= 0 {
+		t.Errorf("ranges_dispatched{local} = %v, want > 0", got)
 	}
 }

@@ -10,25 +10,6 @@ import (
 	"repro/internal/sweep"
 )
 
-// Resolver maps a protocol reference to its content hash — the routing key
-// that keeps each worker's artifact cache hot for its slice of the grid.
-// It is consulted once per distinct reference, not per cell.
-type Resolver func(engine.ProtocolRef) (string, error)
-
-// EngineResolver resolves references through an engine's registry and hashes
-// the resolved protocol's canonical JSON form — the same hash that keys the
-// engine artifact cache, so routing affinity and cache affinity coincide
-// even when a registry spec and an inline protocol denote the same protocol.
-func EngineResolver(eng *engine.Engine) Resolver {
-	return func(ref engine.ProtocolRef) (string, error) {
-		entry, err := eng.Resolve(ref)
-		if err != nil {
-			return "", err
-		}
-		return engine.Hash(entry.Protocol)
-	}
-}
-
 // refKey is the memoization key of a cell's protocol reference: cheap to
 // compute per cell, stable across cells of the same reference. Family cells
 // key by the family template, so every member of a parametric family shares
@@ -59,26 +40,29 @@ type group struct {
 	cells []sweep.Cell
 }
 
-// groupByHash buckets expanded cells by protocol content hash, preserving
-// the grid order of first appearance (deterministic given the spec).
-func groupByHash(cells []sweep.Cell, resolve Resolver) ([]group, error) {
-	hashes := make(map[string]string) // refKey → content hash
-	index := make(map[string]int)     // content hash → groups position
+// groupByHash buckets expanded cells by routing key, preserving the grid
+// order of first appearance (deterministic given the spec). A cell's
+// routing key is its protocol's content hash, resolved once per refKey
+// through eng: the hash that keys the engine artifact cache, so routing
+// affinity and cache affinity coincide even when a registry spec and an
+// inline protocol denote the same protocol. Family cells and
+// protocol-free cells route by their refKey, as does a reference that
+// fails to resolve — the node that executes such a cell reports the
+// per-cell error, exactly as a single-process sweep does.
+func groupByHash(cells []sweep.Cell, eng *engine.Engine) []group {
+	hashes := make(map[string]string) // refKey → routing key
+	index := make(map[string]int)     // routing key → groups position
 	var groups []group
 	for _, c := range cells {
 		key := refKey(c)
 		h, ok := hashes[key]
 		if !ok {
-			if c.Family != "" || c.Request.Protocol.IsZero() {
-				// Family groups route by template (their members have many
-				// content hashes by design); protocol-free cells' key is
-				// already content-determined. No resolution either way.
-				h = key
-			} else {
-				var err error
-				h, err = resolve(c.Request.Protocol)
-				if err != nil {
-					return nil, fmt.Errorf("resolving %q: %w", key, err)
+			h = key
+			if c.Family == "" && !c.Request.Protocol.IsZero() {
+				if entry, err := eng.Resolve(c.Request.Protocol); err == nil {
+					if ch, err := engine.Hash(entry.Protocol); err == nil {
+						h = ch
+					}
 				}
 			}
 			hashes[key] = h
@@ -91,13 +75,12 @@ func groupByHash(cells []sweep.Cell, resolve Resolver) ([]group, error) {
 		}
 		groups[gi].cells = append(groups[gi].cells, c)
 	}
-	return groups, nil
+	return groups
 }
 
 // task is one dispatchable cell range: a slice of one group, so all its
 // cells share a protocol (and therefore a preferred worker). attempts
-// counts remote dispatches; past DispatchOptions.MaxAttempts the task runs
-// locally instead.
+// counts remote dispatches; past maxAttempts the task runs locally instead.
 type task struct {
 	hash     string
 	cells    []sweep.Cell

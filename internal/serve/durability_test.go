@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -16,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/journal"
 	"repro/internal/metrics/testutil"
@@ -188,6 +190,126 @@ func TestJournaledSweepCrashResumeByteIdentical(t *testing.T) {
 	if eng.Computations() == 0 {
 		t.Fatal("post-compaction rerun executed nothing; the stub should have forced recomputation")
 	}
+}
+
+// TestJournaledCoordinatorWithWorker covers the journal on a coordinator
+// with a live worker: half the grid is already journaled (as a crashed run
+// would leave it), the spec is resubmitted, and the canonical stream equals
+// the single-process one while the journal's range records — the
+// dispatcher's OnDispatch calls — name only the cells that remained, all
+// sent to the worker, which computes exactly those.
+func TestJournaledCoordinatorWithWorker(t *testing.T) {
+	baseline := canonicalNDJSON(t, sweepBody(t, NewHandler(engine.New(), Options{}), crashSpec))
+	spec, err := sweep.ParseSpec([]byte(crashSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash, err := sweep.SpecHash(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := sweep.Run(t.Context(), engine.New(), spec, sweep.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	js, err := journal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre, err := js.Sweep(hash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pre.Start(ref.TotalCells); err != nil {
+		t.Fatal(err)
+	}
+	remaining := make(map[int]bool)
+	for _, cr := range ref.Cells {
+		if cr.Index%2 == 1 {
+			remaining[cr.Index] = true
+			continue
+		}
+		if err := pre.AppendCell(cr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pre.Close()
+
+	coord := cluster.NewCoordinator(cluster.CoordinatorOptions{})
+	worker := httptest.NewServer(NewHandler(engine.New(), Options{}))
+	defer worker.Close()
+	coord.Register("w1", worker.URL)
+	js2, err := journal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewHandler(engine.New(), Options{
+		Journal:         js2,
+		Cluster:         coord,
+		ClusterDispatch: cluster.DispatchOptions{RangeCells: 2},
+	})
+	if got := canonicalNDJSON(t, sweepBody(t, h, crashSpec)); got != baseline {
+		t.Fatalf("journaled coordinator stream differs from the single-process one:\n--- want ---\n%s--- got ---\n%s", baseline, got)
+	}
+	if replayed := testutil.ToFloat64(js2.Metrics().ReplayedCells); replayed != float64(ref.TotalCells-len(remaining)) {
+		t.Fatalf("replayed %v cells, want %d", replayed, ref.TotalCells-len(remaining))
+	}
+
+	dispatched := make(map[int]bool)
+	for _, rec := range walRanges(t, filepath.Join(dir, hash+".wal")) {
+		if rec.Worker != "w1" {
+			t.Errorf("range record for worker %q, want w1", rec.Worker)
+		}
+		for _, r := range rec.Cells {
+			for i := r.From; i <= r.To; i++ {
+				if !remaining[i] {
+					t.Errorf("range record names journaled cell %d", i)
+				}
+				dispatched[i] = true
+			}
+		}
+	}
+	if len(dispatched) != len(remaining) {
+		t.Errorf("range records name %d cells, want the %d remaining", len(dispatched), len(remaining))
+	}
+	if m := coord.Members(); len(m) != 1 || m[0].CellsServed != len(remaining) {
+		t.Errorf("worker stats %+v, want %d cells served", m, len(remaining))
+	}
+}
+
+// rangeRecord is the part of a journal "range" record the tests inspect.
+type rangeRecord struct {
+	Type   string             `json:"type"`
+	Worker string             `json:"worker"`
+	Cells  []sweep.IndexRange `json:"cells"`
+}
+
+// walRanges decodes the range records of a sweep WAL (frames of uint32 LE
+// payload length, uint32 LE CRC, JSON payload).
+func walRanges(t *testing.T, path string) []rangeRecord {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []rangeRecord
+	for len(data) >= 8 {
+		n := int(binary.LittleEndian.Uint32(data[:4]))
+		if len(data) < 8+n {
+			t.Fatalf("torn WAL frame: %d of %d payload bytes", len(data)-8, n)
+		}
+		var rec rangeRecord
+		if err := json.Unmarshal(data[8:8+n], &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Type == "range" {
+			out = append(out, rec)
+		}
+		data = data[8+n:]
+	}
+	return out
 }
 
 // TestJournaledSweepFullyReplayed: resubmitting a completed sweep executes

@@ -14,9 +14,9 @@
 // analyses of the same protocol near-free. Every analyze request gets a
 // deadline: its own TimeoutMillis if set (clamped to MaxTimeout), else
 // DefaultTimeout. Sweeps run under SweepTimeout and stream one JSON row
-// per completed cell followed by a summary row, so even a very large grid
-// is observable and interruptible mid-flight — closing the connection
-// cancels in-flight cells and skips the rest.
+// per cell, in grid-index order, followed by a summary row, so even a very
+// large grid is observable and interruptible mid-flight — closing the
+// connection cancels in-flight cells and skips the rest.
 package serve
 
 import (
@@ -48,16 +48,14 @@ type Options struct {
 	MaxTimeout time.Duration
 	// SweepTimeout bounds a whole /v1/sweep request. 0 means 10 minutes.
 	SweepTimeout time.Duration
-	// SweepWorkers is the worker-pool size of each sweep (0 = GOMAXPROCS).
-	SweepWorkers int
 	// Cluster, when set, makes this handler a cluster coordinator: the
 	// membership endpoints (/v1/cluster/*) are mounted and /v1/sweep fans
 	// out across the registered workers (falling back to local execution
 	// when none are live).
 	Cluster *cluster.Coordinator
-	// ClusterDispatch tunes coordinator fan-out (range size, deadlines,
-	// attempts). LocalEngine, OnCell and the stream wiring are always
-	// supplied by the handler.
+	// ClusterDispatch tunes coordinator fan-out (range size, deadlines).
+	// LocalEngine, OnCell and the stream wiring are always supplied by the
+	// handler.
 	ClusterDispatch cluster.DispatchOptions
 	// RequestLog, when set, emits one structured line per request (kind,
 	// protocol hash, duration, status, cache hit) and per cluster
@@ -300,11 +298,11 @@ func handleAnalyze(eng *engine.Engine, opts Options, w http.ResponseWriter, r *h
 // same wire format without importing this package).
 type SweepRow = sweep.StreamRow
 
-// handleSweep streams a sweep: the spec is validated and expanded up
-// front (client errors are plain 400 JSON), then rows flow as cells
-// complete. Cancellation is end to end: when the client disconnects, the
-// request context cancels the sweep, which interrupts in-flight cells and
-// skips the rest.
+// handleSweep streams a sweep: the spec is validated up front (client
+// errors are plain 400 JSON), then rows flow in grid-index order as
+// runSweep merges them. Cancellation is end to end: when the client
+// disconnects, the request context cancels the sweep, which interrupts
+// in-flight cells and skips the rest.
 func handleSweep(eng *engine.Engine, opts Options, w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 4<<20))
 	if err != nil {
@@ -366,28 +364,7 @@ func handleSweep(eng *engine.Engine, opts Options, w http.ResponseWriter, r *htt
 	onCell := func(cr sweep.CellResult) { writeRow(SweepRow{Type: "cell", Cell: &cr}) }
 
 	start := time.Now()
-	var res *sweep.Result
-	if jsweep != nil {
-		res, err = runSweepJournaled(ctx, eng, opts, spec, jsweep, onCell)
-	} else if opts.Cluster != nil {
-		dopts := opts.ClusterDispatch
-		dopts.LocalEngine = eng
-		dopts.LocalWorkers = opts.SweepWorkers
-		dopts.DiscardCells = true
-		dopts.OnCell = onCell
-		if dopts.Log == nil {
-			dopts.Log = opts.RequestLog
-		}
-		res, err = opts.Cluster.Sweep(ctx, spec, dopts)
-	} else {
-		// DiscardCells keeps server memory flat on huge grids: each cell was
-		// already streamed, so the summary row carries aggregates only.
-		res, err = sweep.Run(ctx, eng, spec, sweep.RunOptions{
-			Workers:      opts.SweepWorkers,
-			DiscardCells: true,
-			OnCell:       onCell,
-		})
-	}
+	res, err := runSweep(ctx, eng, opts, spec, jsweep, onCell)
 	if res == nil {
 		// Only reachable if re-expansion fails, which ParseSpec precludes;
 		// report it as a stream row since the 200 header is already out.
@@ -409,6 +386,117 @@ func handleSweep(eng *engine.Engine, opts Options, w http.ResponseWriter, r *htt
 		"status", http.StatusOK,
 		"durationMillis", time.Since(start).Milliseconds(),
 	)
+}
+
+// runSweep executes every /v1/sweep. Cells replayed from the journal j
+// (nil when the server keeps none) are re-emitted verbatim, and only the
+// rest run: fanned out when this handler is a coordinator, else on the
+// local pool. One Merger dedups every delivery, folds it into one
+// Collector, journals it (fsync'd before it streams, so every cell a client
+// saw is durable) and streams it to onCell in grid-index order. Because
+// grid indices and per-cell seeds are stable under Cells sub-selection, the
+// stream — and its canonical form — is byte-identical however the run was
+// split, interrupted and resumed.
+func runSweep(ctx context.Context, eng *engine.Engine, opts Options, spec sweep.Spec, j *journal.Sweep, onCell func(sweep.CellResult)) (*sweep.Result, error) {
+	cells, err := spec.Expand()
+	if err != nil {
+		return nil, err
+	}
+	var replayed []sweep.CellResult
+	if j != nil {
+		if err := j.Start(len(cells)); err != nil {
+			return nil, err
+		}
+		replayed = j.Completed()
+	}
+	col := sweep.NewCollector(spec.Name, len(cells), 0, true)
+	m := sweep.NewMerger(cells, col, func(cr sweep.CellResult) {
+		// Replayed cells are already journaled and skip straight through;
+		// a failed append only costs recomputing that cell on resume.
+		if j != nil {
+			if err := j.AppendCell(cr); err != nil {
+				opts.RequestLog.Warn("sweep journal append failed", "cell", cr.Index, "error", err)
+			}
+		}
+		onCell(cr)
+	})
+
+	seen := make(map[int]bool, len(replayed))
+	for _, cr := range replayed {
+		m.Add(cr)
+		seen[cr.Index] = true
+	}
+	var remaining []int
+	for _, c := range cells {
+		if !seen[c.Index] {
+			remaining = append(remaining, c.Index)
+		}
+	}
+	if len(replayed) > 0 {
+		opts.RequestLog.Info("sweep resumed from journal",
+			"sweep", spec.Name, "replayed", len(replayed), "remaining", len(remaining))
+	}
+
+	start := time.Now()
+	workers := 0
+	// Ranges(nil) means the full grid, so a fully-replayed sweep must skip
+	// execution outright rather than submit an empty selection.
+	if len(remaining) > 0 {
+		sub := spec
+		sub.Cells = sweep.Ranges(remaining)
+		feed := func(cr sweep.CellResult) {
+			// A cell that failed after the sweep's context ended was most
+			// likely cut off by it: leave it out of the stream and the
+			// journal, so a resume recomputes it instead of replaying the
+			// interruption.
+			if !cr.OK && ctx.Err() != nil {
+				return
+			}
+			m.Add(cr)
+		}
+		logRange := func(worker string, rs []sweep.IndexRange) {
+			if j == nil {
+				return
+			}
+			if err := j.AppendRange(worker, rs); err != nil {
+				opts.RequestLog.Warn("sweep journal range append failed", "error", err)
+			}
+		}
+		var ran *sweep.Result
+		if opts.Cluster != nil {
+			dopts := opts.ClusterDispatch
+			dopts.LocalEngine = eng
+			dopts.OnCell = feed
+			dopts.OnDispatch = logRange
+			if dopts.Log == nil {
+				dopts.Log = opts.RequestLog
+			}
+			ran, err = opts.Cluster.Sweep(ctx, sub, dopts)
+		} else {
+			logRange(cluster.LocalWorkerLabel, sub.Cells)
+			ran, err = sweep.Run(ctx, eng, sub, sweep.RunOptions{DiscardCells: true, OnCell: feed})
+		}
+		if err != nil && ctx.Err() == nil {
+			return nil, err
+		}
+		if ran != nil {
+			workers = ran.Workers
+		}
+	}
+
+	res := col.Finish(time.Since(start))
+	res.Workers = workers
+	if m.Remaining() == 0 {
+		if j != nil {
+			if err := j.AppendDone(); err != nil {
+				opts.RequestLog.Warn("sweep journal done append failed", "error", err)
+			}
+		}
+	} else if err := ctx.Err(); err != nil {
+		res.Cancelled = true
+		return res, err
+	}
+	return res, nil
 }
 
 func handleCatalog(eng *engine.Engine, w http.ResponseWriter) {

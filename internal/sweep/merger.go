@@ -23,8 +23,8 @@ func SpecHash(spec Spec) (string, error) {
 // Merger is the reorder buffer between completion-ordered cell deliveries
 // and the grid-ordered output stream. It dedups on cell index (a retried
 // range — or a journal replay racing fresh execution — may deliver a cell
-// twice), folds every first delivery into the optional shared Collector,
-// and releases the contiguous prefix in index order through onCell.
+// twice), folds every first delivery into a Collector, and releases the
+// contiguous prefix in index order through onCell.
 type Merger struct {
 	mu        sync.Mutex
 	pos       map[int]int // grid index → position in the expanded order
@@ -37,9 +37,9 @@ type Merger struct {
 	done      chan struct{}
 }
 
-// NewMerger builds a reorder buffer over the expanded cells. col (may be
-// nil) receives every first delivery for aggregation; onCell (may be nil)
-// observes cells in grid-index order, serialized.
+// NewMerger builds a reorder buffer over the expanded cells. col receives
+// every first delivery for aggregation; onCell (may be nil) observes cells
+// in grid-index order, serialized.
 func NewMerger(cells []Cell, col *Collector, onCell func(CellResult)) *Merger {
 	m := &Merger{
 		pos:       make(map[int]int, len(cells)),
@@ -70,9 +70,7 @@ func (m *Merger) Add(cr CellResult) bool {
 	}
 	m.seen[p] = true
 	m.buf[p] = &cr
-	if m.col != nil {
-		m.col.Add(cr)
-	}
+	m.col.Add(cr)
 	for m.next < len(m.buf) && m.buf[m.next] != nil {
 		if m.onCell != nil {
 			m.onCell(*m.buf[m.next])

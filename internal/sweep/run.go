@@ -96,7 +96,8 @@ type Result struct {
 	Failed     int `json:"failed"`
 	// Cancelled reports that the context ended before the grid did.
 	Cancelled bool `json:"cancelled,omitempty"`
-	// Workers is the worker-pool size the sweep ran with.
+	// Workers is the worker-pool size the sweep ran with; a cluster
+	// coordinator reports its live workers.
 	Workers int `json:"workers"`
 	// WallMillis is the end-to-end wall-clock time of the sweep.
 	WallMillis float64 `json:"wallMillis"`
@@ -174,7 +175,7 @@ func Run(ctx context.Context, eng *engine.Engine, spec Spec, opts RunOptions) (*
 					if ctx.Err() != nil {
 						return
 					}
-					results <- RunCell(ctx, eng, spec, c)
+					results <- runCell(ctx, eng, spec, c)
 				}
 			}
 		}()
@@ -234,9 +235,9 @@ func familyChains(cells []Cell) [][]Cell {
 // Collector folds completed cells into an aggregate Result incrementally,
 // in any arrival order: the aggregates are order-independent, and Finish
 // sorts retained cells back into grid order. It is the single aggregation
-// path — the local executor (Run) and the cluster coordinator's merger both
-// fold through it, which is what makes a fanned-out sweep's summary equal
-// the single-process one. Not safe for concurrent use; serialize Add calls.
+// path — the local executor (Run) and every Merger fold through it, which
+// is what makes a fanned-out or resumed sweep's summary equal the
+// single-process one. Not safe for concurrent use; serialize Add calls.
 type Collector struct {
 	res     *Result
 	discard bool
@@ -289,10 +290,9 @@ func (col *Collector) Finish(wall time.Duration) *Result {
 	return col.res
 }
 
-// RunCell executes one expanded cell against eng and condenses its outcome
-// — the single-cell unit of work behind Run, exported so a cluster
-// coordinator's local fallback executes cells identically to a worker.
-func RunCell(ctx context.Context, eng *engine.Engine, spec Spec, c Cell) CellResult {
+// runCell executes one expanded cell against eng and condenses its outcome
+// — the single-cell unit of work behind Run.
+func runCell(ctx context.Context, eng *engine.Engine, spec Spec, c Cell) CellResult {
 	cr := CellResult{
 		Index:    c.Index,
 		Protocol: c.Protocol,

@@ -1,6 +1,13 @@
 package sweep
 
-import "repro/internal/engine"
+import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+
+	"repro/internal/engine"
+)
 
 // StreamRow is one NDJSON row of a streamed sweep (the POST /v1/sweep
 // response, and the coordinator↔worker wire format of the cluster
@@ -13,6 +20,33 @@ type StreamRow struct {
 	Cell    *CellResult `json:"cell,omitempty"`
 	Summary *Result     `json:"summary,omitempty"`
 	Error   string      `json:"error,omitempty"`
+}
+
+// ReadStream decodes a streamed sweep from r, passing every cell row to
+// onCell in stream order. It returns the summary row's aggregate (nil when
+// the stream carried none) and stops at the first decode failure or error
+// row, which it returns as the error.
+func ReadStream(r io.Reader, onCell func(CellResult)) (*Result, error) {
+	var res *Result
+	dec := json.NewDecoder(r)
+	for {
+		var row StreamRow
+		if err := dec.Decode(&row); err == io.EOF {
+			return res, nil
+		} else if err != nil {
+			return res, fmt.Errorf("reading stream: %w", err)
+		}
+		switch row.Type {
+		case "cell":
+			if row.Cell != nil {
+				onCell(*row.Cell)
+			}
+		case "summary":
+			res = row.Summary
+		case "error":
+			return res, errors.New(row.Error)
+		}
+	}
 }
 
 // CanonicalCell returns a copy of a cell result with its volatile fields —

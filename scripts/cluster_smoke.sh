@@ -7,7 +7,10 @@
 # coordinator (which fans cell ranges out across both workers by protocol
 # content hash). The two -canonical NDJSON streams must be byte-identical —
 # the cluster acceptance criterion — and the workers must have served the
-# whole grid between them (no silent local fallback).
+# whole grid between them (no silent local fallback). The coordinator runs
+# with a sweep journal, so the spec is then posted a second time: that run
+# must replay all 60 cells from the journal, stream the same canonical
+# bytes, and dispatch nothing to the workers.
 #
 # Usage: scripts/cluster_smoke.sh
 set -euo pipefail
@@ -63,6 +66,7 @@ wait_listen() {
 }
 
 "$workdir/ppserve" -coordinator -addr 127.0.0.1:0 -range-cells 3 -log-requests \
+  -journal-dir "$workdir/journal" \
   > "$workdir/coord.log" 2>&1 &
 pids+=($!)
 coord="http://$(wait_listen "$workdir/coord.log")"
@@ -146,5 +150,25 @@ if [ "${trips%.*}" -ne 0 ]; then
   exit 1
 fi
 
+# Resubmit the spec: the journal holds the whole grid, so the coordinator
+# replays it — same canonical bytes, nothing recomputed on the workers.
+"$workdir/ppsweep" -spec "$spec" -cluster "$coord" -canonical -quiet > "$workdir/replay.ndjson"
+if ! diff -u "$workdir/local.ndjson" "$workdir/replay.ndjson"; then
+  echo "FAIL: journal-replayed cluster NDJSON diverges from the single-process run" >&2
+  exit 1
+fi
+replayed="$(curl -sf "$coord/metrics" \
+  | awk '/^pp_journal_replayed_cells_total / {print $2}')"
+if [ "${replayed%.*}" != "$want_cells" ]; then
+  echo "FAIL: pp_journal_replayed_cells_total = ${replayed:-missing}, want $want_cells" >&2
+  exit 1
+fi
+served_again="$(curl -sf "$coord/v1/cluster/members" \
+  | grep -o '"cellsServed":[0-9]*' | cut -d: -f2 | awk '{s += $1} END {print s + 0}')"
+if [ "${served_again:-0}" -ne "$served" ]; then
+  echo "FAIL: workers served $served_again cells after the replay, want $served unchanged" >&2
+  exit 1
+fi
+
 rows="$(wc -l < "$workdir/local.ndjson")"
-echo "cluster smoke OK: $rows canonical rows byte-identical across 1 coordinator + 2 workers ($served cells served remotely, /metrics agrees)"
+echo "cluster smoke OK: $rows canonical rows byte-identical across 1 coordinator + 2 workers ($served cells served remotely, /metrics agrees), and again on a journal replay of $replayed cells"
