@@ -14,8 +14,8 @@
 //	ppserve -journal-dir DIR -artifact-dir DIR      # durable: resumable sweeps,
 //	                                                # disk-backed artifact cache
 //	ppserve -rate-limit 10 -rate-burst 20           # per-client 429 + Retry-After
-//	ppserve -artifact-dir DIR -artifact-max-bytes 1073741824   # LRU artifact GC
-//	ppserve -journal-dir DIR -journal-retain 168h -journal-max-bytes 268435456
+//	ppserve -artifact-dir DIR -artifact-max-bytes 1073741824   # GC: oldest mtime evicted first
+//	ppserve -journal-dir DIR -journal-retain 168h -journal-max-bytes 268435456   # delete old finished WALs
 //
 // Endpoints:
 //
@@ -100,7 +100,6 @@ func run(args []string) error {
 		workerID      = fs.String("worker-id", "", "stable worker identity (default: hostname-pid)")
 		heartbeatTTL  = fs.Duration("heartbeat-ttl", cluster.DefaultTTL, "worker lease duration; workers heartbeat at a third of it (coordinator mode)")
 		rangeCells    = fs.Int("range-cells", 0, "cells per dispatched range, the retry granularity (coordinator mode; 0 = 64)")
-		rangeTimeout  = fs.Duration("range-timeout", 0, "flat per-range dispatch deadline (coordinator mode; 0 = 2m)")
 		journalDir    = fs.String("journal-dir", "", "durable sweep journal directory: /v1/sweep logs dispatched ranges and completed cells, and a resubmitted spec resumes instead of recomputing")
 		artifactDir   = fs.String("artifact-dir", "", "disk-backed artifact store directory behind the engine's in-memory cache; restarts serve repeated protocols from disk")
 		rateLimit     = fs.Float64("rate-limit", 0, "per-client request rate (requests/second) on the public endpoints; over-budget requests get 429 + Retry-After (0 = unlimited)")
@@ -144,7 +143,7 @@ func run(args []string) error {
 			return err
 		}
 		if *artifactMax > 0 {
-			if err := st.EnableGC(store.GCOptions{MaxBytes: *artifactMax}); err != nil {
+			if err := st.EnableGC(*artifactMax); err != nil {
 				ln.Close()
 				return err
 			}
@@ -183,7 +182,7 @@ func run(args []string) error {
 		}
 		opts.Journal = js
 		if *journalRetain > 0 || *journalMax > 0 {
-			go compactLoop(js, journal.Retention{Retain: *journalRetain, MaxBytes: *journalMax})
+			go retireLoop(js, journal.Retention{Retain: *journalRetain, MaxBytes: *journalMax})
 		}
 	}
 	var logger *slog.Logger
@@ -197,10 +196,7 @@ func run(args []string) error {
 			BreakerFailures: *breakerFails,
 			BreakerBackoff:  *breakerWait,
 		})
-		opts.ClusterDispatch = cluster.DispatchOptions{
-			RangeCells:   *rangeCells,
-			RangeTimeout: *rangeTimeout,
-		}
+		opts.ClusterDispatch = cluster.DispatchOptions{RangeCells: *rangeCells}
 	}
 
 	var drain func(context.Context)
@@ -238,14 +234,14 @@ func run(args []string) error {
 	return serveOn(ctx, ln, eng, opts, drain)
 }
 
-// compactLoop runs journal retention in the background: one pass at
+// retireLoop runs journal retention in the background: one pass at
 // startup (a restart with a tightened policy applies it immediately), then
-// once a minute. Compaction skips in-progress sweeps and never blocks
-// request handling, so a failed pass is only worth a log line.
-func compactLoop(js *journal.Store, ret journal.Retention) {
+// once a minute. Retire skips in-progress sweeps and never blocks request
+// handling, so a failed pass is only worth a log line.
+func retireLoop(js *journal.Store, ret journal.Retention) {
 	for {
-		if _, err := js.Compact(ret); err != nil {
-			fmt.Fprintf(os.Stderr, "ppserve: journal compaction: %v\n", err)
+		if _, err := js.Retire(ret); err != nil {
+			fmt.Fprintf(os.Stderr, "ppserve: journal retention: %v\n", err)
 		}
 		time.Sleep(time.Minute)
 	}

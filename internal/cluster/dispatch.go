@@ -28,10 +28,6 @@ type DispatchOptions struct {
 	// RangeCells caps cells per dispatched range — the retry granularity
 	// (default 64).
 	RangeCells int
-	// RangeTimeout is the per-range deadline (default 2 minutes). When the
-	// spec sets a per-cell timeout, each range's deadline additionally
-	// budgets cells × timeout.
-	RangeTimeout time.Duration
 	// OnCell observes every merged cell in grid-index order — the
 	// deterministic stream. Calls are serialized; a slow observer
 	// backpressures the dispatcher.
@@ -51,18 +47,19 @@ func (o DispatchOptions) withDefaults() (DispatchOptions, error) {
 	if o.RangeCells <= 0 {
 		o.RangeCells = 64
 	}
-	if o.RangeTimeout <= 0 {
-		o.RangeTimeout = 2 * time.Minute
-	}
 	if o.Log == nil {
 		o.Log = slog.New(slog.DiscardHandler)
 	}
 	return o, nil
 }
 
-// maxAttempts bounds remote dispatch attempts per range before its cells
-// fall back to local execution.
-const maxAttempts = 3
+const (
+	// maxAttempts bounds remote dispatch attempts per range before its
+	// cells fall back to local execution.
+	maxAttempts = 3
+	// rangeTimeout is the flat part of a range's deadline (rangeDeadline).
+	rangeTimeout = 2 * time.Minute
+)
 
 // dispatchClient performs the worker range calls. It has no global
 // timeout: per-range deadlines bound each call.
@@ -372,7 +369,7 @@ func (d *dispatcher) driveLocal() {
 // rangeDeadline budgets one range: the flat per-range deadline, plus the
 // spec's per-cell timeout for every cell when one is set.
 func (d *dispatcher) rangeDeadline(t *task) time.Duration {
-	dl := d.opts.RangeTimeout
+	dl := rangeTimeout
 	if ms := d.spec.Options.TimeoutMillis; ms > 0 {
 		dl += time.Duration(ms*int64(len(t.cells))) * time.Millisecond
 	}

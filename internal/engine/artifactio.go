@@ -213,12 +213,8 @@ func (e *Engine) loadArtifact(ctx context.Context, kind, hash string) []byte {
 		return nil
 	}
 	st.Metrics().PeerFetches.WithLabelValues("hit").Inc()
-	// Best effort: a failed write-through only costs the next restart. The
-	// pin keeps the GC from evicting the entry in the warming window while
-	// this fetch is the store's only reason to believe it is hot.
-	st.Pin(kind, hash)
+	// Best effort: a failed write-through only costs the next restart.
 	_ = st.Put(kind, hash, payload)
-	st.Unpin(kind, hash)
 	return payload
 }
 

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/metrics/testutil"
@@ -28,13 +27,13 @@ func TestLRUHitSurvivesEviction(t *testing.T) {
 	// … and let a third protocol force one eviction.
 	do(t, eng, Request{Kind: KindStable, Protocol: ProtocolRef{Spec: "binary:6"}})
 
-	_, missesBefore := eng.CacheStats()
+	_, missesBefore := cacheStats(eng)
 	do(t, eng, Request{Kind: KindStable, Protocol: ProtocolRef{Spec: "binary:4"}})
-	if _, misses := eng.CacheStats(); misses != missesBefore {
+	if _, misses := cacheStats(eng); misses != missesBefore {
 		t.Fatal("just-hit entry was evicted: repeat request missed the cache")
 	}
 	do(t, eng, Request{Kind: KindStable, Protocol: ProtocolRef{Spec: "binary:5"}})
-	if _, misses := eng.CacheStats(); misses != missesBefore+1 {
+	if _, misses := cacheStats(eng); misses != missesBefore+1 {
 		t.Fatal("least recently used entry was not the one evicted")
 	}
 }
@@ -297,8 +296,9 @@ func TestStoreGCRacingPeerFetch(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Budget below the working set: warming all five protocols must force
-	// evictions, and the 1ms pass interval keeps the GC racing every fetch.
-	if err := ws.EnableGC(store.GCOptions{MaxBytes: workingSet / 2, LowWater: 0.5, Interval: time.Millisecond}); err != nil {
+	// evictions, and every write-through past the budget kicks a pass, so
+	// the GC races the fetches.
+	if err := ws.EnableGC(workingSet / 2); err != nil {
 		t.Fatal(err)
 	}
 	defer ws.CloseGC()

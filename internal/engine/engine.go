@@ -66,9 +66,9 @@ type Engine struct {
 	cache    map[string]*artifacts
 	lru      *list.List // hashes, most recently used at the front
 	maxCache int
-	hits     uint64
-	misses   uint64
-	computes uint64
+
+	// computes counts artifact computations that actually ran.
+	computes atomic.Uint64
 
 	// artstore, when set, is the disk layer under the in-memory cache:
 	// misses try it before recomputing, computed artifacts write through.
@@ -148,29 +148,9 @@ func (e *Engine) SetCacheLimit(n int) {
 // Registry returns the registry the engine resolves specs against.
 func (e *Engine) Registry() *protocols.Registry { return e.reg }
 
-// CacheStats reports how many artifact lookups hit and missed the
-// content-hash cache. A hit means the artifact was complete when the
-// request arrived; a request that waits on an in-flight computation counts
-// as a miss.
-func (e *Engine) CacheStats() (hits, misses uint64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.hits, e.misses
-}
-
 // Computations reports how many artifact computations actually ran —
 // concurrent identical requests share one.
-func (e *Engine) Computations() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.computes
-}
-
-func (e *Engine) countCompute() {
-	e.mu.Lock()
-	e.computes++
-	e.mu.Unlock()
-}
+func (e *Engine) Computations() uint64 { return e.computes.Load() }
 
 // acquire claims an execution slot, or gives up when ctx ends first. Hold
 // slots only while burning CPU — never while waiting.
@@ -407,13 +387,6 @@ func (e *Engine) artifactsFor(hash string) *artifacts {
 }
 
 func (e *Engine) countLookup(hit bool) {
-	e.mu.Lock()
-	if hit {
-		e.hits++
-	} else {
-		e.misses++
-	}
-	e.mu.Unlock()
 	if hit {
 		e.metrics.CacheHits.Inc()
 	} else {
@@ -507,7 +480,7 @@ func memoized[T any](e *Engine, ctx context.Context, k *artifactKind[T], p *prot
 			if val, ok := loadMemo(e, ctx, k, p, hash); ok {
 				m.val = val
 			} else {
-				e.countCompute()
+				e.computes.Add(1)
 				m.val, m.err = k.compute(ctx, p)
 				if m.err == nil {
 					payload, err := k.encode(m.val)

@@ -156,7 +156,7 @@ func TestEngineCacheHit(t *testing.T) {
 		t.Error("second identical basis request must hit the cache")
 	}
 
-	hits, misses := eng.CacheStats()
+	hits, misses := cacheStats(eng)
 	if hits != 2 || misses != 2 {
 		t.Errorf("cache stats: hits=%d misses=%d, want 2/2", hits, misses)
 	}
@@ -381,7 +381,7 @@ func TestConcurrentRequestsComputeArtifactOnce(t *testing.T) {
 	if n := eng.Computations(); n != 1 {
 		t.Errorf("concurrent identical requests ran %d computations, want 1", n)
 	}
-	hits, misses := eng.CacheStats()
+	hits, misses := cacheStats(eng)
 	if hits+misses != workers || misses < 1 {
 		t.Errorf("cache stats hits=%d misses=%d, want %d lookups with ≥1 miss", hits, misses, workers)
 	}
@@ -430,13 +430,13 @@ func TestCacheEviction(t *testing.T) {
 	// three recomputes the evicted ones (eviction picks arbitrary
 	// entries, so a recompute may itself evict a protocol this loop
 	// still revisits — hence a range, not an exact count).
-	_, missesBefore := eng.CacheStats()
+	_, missesBefore := cacheStats(eng)
 	for _, spec := range []string{"parity", "true", "false"} {
 		if _, err := eng.Do(ctx, Request{Kind: KindStable, Protocol: ProtocolRef{Spec: spec}}); err != nil {
 			t.Fatalf("%s: %v", spec, err)
 		}
 	}
-	_, missesAfter := eng.CacheStats()
+	_, missesAfter := cacheStats(eng)
 	if d := missesAfter - missesBefore; d < 1 || d > 3 {
 		t.Errorf("re-running three specs after eviction recomputed %d, want 1..3", d)
 	}

@@ -26,9 +26,10 @@ type Metrics struct {
 	Requests *metrics.CounterVec
 	// Latency is the per-kind request-duration histogram, in seconds.
 	Latency *metrics.HistogramVec
-	// CacheHits / CacheMisses count artifact-cache lookups (a request
+	// CacheHits / CacheMisses count artifact-cache lookups: a hit means
+	// the artifact was complete when the request arrived, and a request
 	// waiting on another request's in-flight computation counts as a
-	// miss, exactly like Engine.CacheStats). CacheEvictions counts
+	// miss. CacheEvictions counts
 	// artifact slots dropped — capacity evictions and interrupted
 	// computations alike.
 	CacheHits      *metrics.Counter

@@ -11,7 +11,7 @@
 //     routing cells to a flapping worker.
 //
 // The consumers — serve's admission control, the artifact-store GC, the
-// journal compactor, the cluster dispatcher — each own their policy;
+// journal retention pass, the cluster dispatcher — each own their policy;
 // govern owns the mechanics, with injectable clocks so every policy is
 // unit-testable without sleeping.
 package govern

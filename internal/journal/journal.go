@@ -62,8 +62,6 @@ type Metrics struct {
 	Recoveries *metrics.Counter
 	// Truncations counts corrupt or torn journal tails repaired on open.
 	Truncations *metrics.Counter
-	// Compactions counts done WALs rewritten to stubs by Compact.
-	Compactions *metrics.Counter
 	// Retired counts done WALs deleted by retention (age or size budget).
 	Retired *metrics.Counter
 }
@@ -84,8 +82,6 @@ func newJournalMetrics() *Metrics {
 			sub("recoveries_total", "Journal opens that found prior sweep progress.")),
 		Truncations: metrics.NewCounter(
 			sub("truncations_total", "Corrupt or torn journal tails truncated during replay.")),
-		Compactions: metrics.NewCounter(
-			sub("compactions_total", "Completed sweep WALs rewritten to stubs.")),
 		Retired: metrics.NewCounter(
 			sub("retired_total", "Completed sweep WALs deleted by retention policy.")),
 	}
@@ -96,7 +92,7 @@ func (s *Store) Metrics() *Metrics { return s.metrics }
 
 // Collectors returns every collector of the set, for registration.
 func (m *Metrics) Collectors() []metrics.Collector {
-	return []metrics.Collector{m.Appends, m.AppendErrors, m.ReplayedCells, m.Recoveries, m.Truncations, m.Compactions, m.Retired}
+	return []metrics.Collector{m.Appends, m.AppendErrors, m.ReplayedCells, m.Recoveries, m.Truncations, m.Retired}
 }
 
 // Register registers the whole set into reg.
@@ -165,22 +161,33 @@ func (s *Store) Sweep(specHash string) (*Sweep, error) {
 	if !validHash(specHash) {
 		return nil, fmt.Errorf("journal: invalid spec hash %q", specHash)
 	}
-	s.mu.Lock()
-	if s.busy[specHash] {
-		s.mu.Unlock()
+	if !s.claim(specHash) {
 		return nil, fmt.Errorf("journal: sweep %s is already in progress", specHash)
 	}
-	s.busy[specHash] = true
-	s.mu.Unlock()
-
 	j, err := s.open(specHash)
 	if err != nil {
-		s.mu.Lock()
-		delete(s.busy, specHash)
-		s.mu.Unlock()
+		s.release(specHash)
 		return nil, err
 	}
 	return j, nil
+}
+
+// claim marks hash busy iff it is not already: one open Sweep per spec,
+// and Retire never races a live sweep on its WAL.
+func (s *Store) claim(hash string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.busy[hash] {
+		return false
+	}
+	s.busy[hash] = true
+	return true
+}
+
+func (s *Store) release(hash string) {
+	s.mu.Lock()
+	delete(s.busy, hash)
+	s.mu.Unlock()
 }
 
 func (s *Store) open(specHash string) (*Sweep, error) {
@@ -335,8 +342,8 @@ func (j *Sweep) AppendCell(cr sweep.CellResult) error {
 }
 
 // AppendDone seals the journal: the sweep ran to completion. Idempotent —
-// a journal already sealed (replayed done record, e.g. a compacted stub
-// whose sweep was re-executed) is not sealed twice.
+// a journal already sealed (a finished sweep resubmitted and replayed) is
+// not sealed twice.
 func (j *Sweep) AppendDone() error {
 	if j.done {
 		return nil
@@ -358,28 +365,18 @@ func (j *Sweep) append(rec record) error {
 	return nil
 }
 
-// encodeRecord frames one record for the WAL (shared by appends and the
-// compactor's stub writer).
-func encodeRecord(rec record) ([]byte, error) {
+func (j *Sweep) appendLocked(rec record) error {
 	payload, err := json.Marshal(rec)
 	if err != nil {
-		return nil, fmt.Errorf("journal: encoding record: %w", err)
+		return fmt.Errorf("journal: encoding record: %w", err)
 	}
 	if len(payload) > maxRecord {
-		return nil, fmt.Errorf("journal: record of %d bytes exceeds limit", len(payload))
+		return fmt.Errorf("journal: record of %d bytes exceeds limit", len(payload))
 	}
 	frame := make([]byte, 8+len(payload))
 	binary.LittleEndian.PutUint32(frame[:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
 	copy(frame[8:], payload)
-	return frame, nil
-}
-
-func (j *Sweep) appendLocked(rec record) error {
-	frame, err := encodeRecord(rec)
-	if err != nil {
-		return err
-	}
 
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -411,26 +408,6 @@ func (j *Sweep) Close() error {
 	j.closed = true
 	err := j.f.Close()
 	j.mu.Unlock()
-	j.store.mu.Lock()
-	delete(j.store.busy, j.hash)
-	j.store.mu.Unlock()
+	j.store.release(j.hash)
 	return err
-}
-
-// Remove deletes a sweep's journal file (e.g. after a completed sweep's
-// results were archived elsewhere). The journal must not be open.
-func (s *Store) Remove(specHash string) error {
-	if !validHash(specHash) {
-		return fmt.Errorf("journal: invalid spec hash %q", specHash)
-	}
-	s.mu.Lock()
-	busy := s.busy[specHash]
-	s.mu.Unlock()
-	if busy {
-		return fmt.Errorf("journal: sweep %s is in progress", specHash)
-	}
-	if err := os.Remove(filepath.Join(s.dir, specHash+".wal")); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("journal: %w", err)
-	}
-	return nil
 }

@@ -136,9 +136,8 @@ func (c *Counter) Family() Family {
 
 // Gauge is a value that can go up and down.
 type Gauge struct {
-	opts   Opts
-	labels []Label
-	val    value
+	opts Opts
+	val  value
 }
 
 // NewGauge returns a gauge starting at 0.
@@ -162,7 +161,7 @@ func (g *Gauge) Value() float64 { return g.val.get() }
 func (g *Gauge) Family() Family {
 	return Family{
 		Name: g.opts.fullName(), Help: g.opts.Help, Type: "gauge",
-		Samples: []Sample{{Labels: g.labels, Value: g.Value()}},
+		Samples: []Sample{{Value: g.Value()}},
 	}
 }
 
@@ -377,29 +376,6 @@ func (cv *CounterVec) Family() Family {
 	f := Family{Name: cv.v.opts.fullName(), Help: cv.v.opts.Help, Type: "counter"}
 	for _, c := range cv.v.snapshot() {
 		f.Samples = append(f.Samples, Sample{Labels: c.labels, Value: c.Value()})
-	}
-	return f
-}
-
-// GaugeVec is a gauge family partitioned by label values.
-type GaugeVec struct{ v *vec[Gauge] }
-
-// NewGaugeVec returns a gauge vector over the given label names.
-func NewGaugeVec(opts Opts, labelNames []string) *GaugeVec {
-	return &GaugeVec{v: newVec(opts, labelNames, func(labels []Label) *Gauge {
-		return &Gauge{opts: opts, labels: labels}
-	})}
-}
-
-// WithLabelValues returns (creating on first use) the child for the given
-// label values.
-func (gv *GaugeVec) WithLabelValues(values ...string) *Gauge { return gv.v.with(values...) }
-
-// Family implements Collector.
-func (gv *GaugeVec) Family() Family {
-	f := Family{Name: gv.v.opts.fullName(), Help: gv.v.opts.Help, Type: "gauge"}
-	for _, g := range gv.v.snapshot() {
-		f.Samples = append(f.Samples, Sample{Labels: g.labels, Value: g.Value()})
 	}
 	return f
 }

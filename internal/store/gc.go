@@ -1,109 +1,84 @@
 package store
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/faultinject"
 )
 
-// GCOptions configures the store's size governance (EnableGC).
-type GCOptions struct {
-	// MaxBytes is the on-disk budget. When the store grows past it, the GC
-	// evicts least-recently-used entries until it is back under
-	// LowWater×MaxBytes. Must be positive.
-	MaxBytes int64
-	// LowWater is the fraction of MaxBytes to drain down to once a pass
-	// starts, so the GC does hysteresis instead of evicting one entry per
-	// Put at the boundary (0 = 0.9).
-	LowWater float64
-	// Interval is the background pass period (0 = 5s). Puts additionally
-	// kick a pass as soon as the budget is exceeded. Negative disables the
-	// background goroutine entirely — passes then run only through RunGC,
-	// which tests use to keep eviction order deterministic.
-	Interval time.Duration
-}
+const (
+	// gcLowWater is the fraction of the budget a pass drains down to, so
+	// the GC does hysteresis instead of evicting one entry per Put at the
+	// boundary.
+	gcLowWater = 0.9
+	// gcInterval is the background pass period. Puts additionally kick a
+	// pass as soon as the budget is exceeded.
+	gcInterval = 5 * time.Second
+)
 
-func (o GCOptions) withDefaults() GCOptions {
-	if o.LowWater <= 0 || o.LowWater > 1 {
-		o.LowWater = 0.9
-	}
-	if o.Interval == 0 {
-		o.Interval = 5 * time.Second
-	}
-	return o
-}
-
-// gcEntry is one tracked on-disk entry.
-type gcEntry struct {
-	kind, hash string
-	size       int64
-	pins       int
-	elem       *list.Element
-}
-
-// gcState is the store's LRU index plus the background eviction loop.
+// gcState is the store's size budget, its running byte count and the
+// background eviction loop. The directory itself is the index: recency is
+// each entry's file mtime (Put's rename sets it, a governed Get hit bumps
+// it), and every pass lists the directory afresh.
 type gcState struct {
-	store *Store
-	opts  GCOptions
-
-	mu      sync.Mutex
-	entries map[string]*gcEntry
-	lru     *list.List // *gcEntry; front = most recently used
-	total   int64
+	store    *Store
+	maxBytes int64
+	// bytes is the store's on-disk size: reset to the measured total by
+	// every listing, raised by Puts, lowered by deletes. Drift between
+	// passes (a concurrent overwrite, a racing delete) is corrected by the
+	// next listing.
+	bytes atomic.Int64
+	// passMu serializes passes (the background loop and RunGC), so two
+	// passes never delete on behalf of one overrun.
+	passMu sync.Mutex
 
 	kick chan struct{}
 	stop chan struct{}
 	done chan struct{}
 }
 
-// EnableGC turns on size governance: the store keeps an in-memory LRU
-// index of every on-disk entry (rebuilt by a scan at enable time, ordered
-// by file mtime) and a background goroutine evicts least-recently-used,
-// unpinned entries whenever the total exceeds opts.MaxBytes. Eviction is
-// safe against concurrent readers: entries are whole-file reads, so a Get
-// racing an unlink either sees the complete old bytes or a clean miss —
-// never a torn artifact.
+// EnableGC turns on size governance: a background goroutine evicts the
+// least recently used entries (oldest file mtime first) whenever the store
+// exceeds maxBytes, draining to 0.9×maxBytes. Get hits bump the entry's
+// mtime while governance is on, so read recency survives restarts.
+// Eviction is safe against concurrent readers: entries are whole-file
+// reads, so a Get racing an unlink either sees the complete old bytes or a
+// clean miss — never a torn artifact.
 //
 // EnableGC must be called once, before the store is shared across
 // goroutines, and pairs with CloseGC.
-func (s *Store) EnableGC(opts GCOptions) error {
-	if opts.MaxBytes <= 0 {
-		return errors.New("store: gc MaxBytes must be positive")
+func (s *Store) EnableGC(maxBytes int64) error {
+	if maxBytes <= 0 {
+		return errors.New("store: gc budget must be positive")
 	}
 	if s.gc.Load() != nil {
 		return errors.New("store: gc already enabled")
 	}
 	g := &gcState{
-		store:   s,
-		opts:    opts.withDefaults(),
-		entries: make(map[string]*gcEntry),
-		lru:     list.New(),
-		kick:    make(chan struct{}, 1),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+		store:    s,
+		maxBytes: maxBytes,
+		kick:     make(chan struct{}, 1),
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
 	}
-	if err := g.scan(); err != nil {
+	if _, _, err := g.list(); err != nil {
 		return err
 	}
 	s.gc.Store(g)
-	if g.opts.Interval < 0 {
-		close(g.done) // manual mode: no goroutine for CloseGC to join
-		return nil
-	}
 	go g.loop()
 	g.kickAsync()
 	return nil
 }
 
-// CloseGC stops the background eviction goroutine and drops the index.
-// The store keeps working, just ungoverned.
+// CloseGC stops the background eviction goroutine. The store keeps
+// working, just ungoverned.
 func (s *Store) CloseGC() {
 	g := s.gc.Load()
 	if g == nil {
@@ -122,70 +97,54 @@ func (s *Store) RunGC() {
 	}
 }
 
-// GCBytes reports the index's view of the store's on-disk size, 0 when
-// governance is disabled.
+// GCBytes reports the governed store's on-disk size, 0 when governance is
+// disabled.
 func (s *Store) GCBytes() int64 {
-	g := s.gc.Load()
-	if g == nil {
-		return 0
+	if g := s.gc.Load(); g != nil {
+		return g.bytes.Load()
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.total
+	return 0
 }
 
-// Pin marks (kind, hash) as in use: the GC will not evict it until a
-// matching Unpin. Pinning a not-yet-written entry is allowed — the engine
-// pins around a peer-fetch write-through so the artifact cannot be evicted
-// between the Put and the read that needs it. No-op when GC is disabled.
-func (s *Store) Pin(kind, hash string) {
+// gcAdd adjusts the byte count by delta and kicks a pass when the store
+// goes over budget. No-op when GC is disabled.
+func (s *Store) gcAdd(delta int64) {
 	g := s.gc.Load()
 	if g == nil {
 		return
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.get(kind, hash).pins++
-}
-
-// Unpin releases a Pin. No-op when GC is disabled.
-func (s *Store) Unpin(kind, hash string) {
-	g := s.gc.Load()
-	if g == nil {
-		return
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if e := g.entries[kind+"/"+hash]; e != nil && e.pins > 0 {
-		e.pins--
+	if g.bytes.Add(delta) > g.maxBytes {
+		g.kickAsync()
 	}
 }
 
-// scan walks the store directory and builds the LRU index, oldest mtime at
-// the back, so a restarted server starts evicting from genuinely cold
-// entries instead of treating everything as fresh.
-func (g *gcState) scan() error {
-	type scanned struct {
-		kind, hash string
-		size       int64
-		mtime      time.Time
-	}
-	var found []scanned
+// entryFile is one store entry seen by a directory listing.
+type entryFile struct {
+	path  string
+	size  int64
+	mtime time.Time
+}
+
+// list walks <dir>/<kind>/<hash>, skipping temp files and anything else
+// that is not a store entry, returns the entries oldest mtime first with
+// their total size, and resets the byte count to that total.
+func (g *gcState) list() ([]entryFile, int64, error) {
 	kinds, err := os.ReadDir(g.store.dir)
 	if err != nil {
-		return fmt.Errorf("store: gc scan: %w", err)
+		return nil, 0, fmt.Errorf("store: gc scan: %w", err)
 	}
+	var found []entryFile
+	var total int64
 	for _, kd := range kinds {
 		if !kd.IsDir() || !validKey(kd.Name()) {
 			continue
 		}
 		files, err := os.ReadDir(filepath.Join(g.store.dir, kd.Name()))
 		if err != nil {
-			return fmt.Errorf("store: gc scan: %w", err)
+			return nil, 0, fmt.Errorf("store: gc scan: %w", err)
 		}
 		for _, f := range files {
-			// Temp files carry a "." prefix and fail validKey; skip them
-			// along with anything else that is not a store entry.
+			// Temp files carry a "." prefix and fail validKey.
 			if f.IsDir() || !validKey(f.Name()) {
 				continue
 			}
@@ -193,57 +152,13 @@ func (g *gcState) scan() error {
 			if err != nil {
 				continue // deleted mid-scan
 			}
-			found = append(found, scanned{kd.Name(), f.Name(), info.Size(), info.ModTime()})
+			found = append(found, entryFile{filepath.Join(g.store.dir, kd.Name(), f.Name()), info.Size(), info.ModTime()})
+			total += info.Size()
 		}
 	}
+	g.bytes.Store(total)
 	sort.Slice(found, func(i, j int) bool { return found[i].mtime.Before(found[j].mtime) })
-	for _, f := range found { // oldest pushed first ends up at the back
-		e := &gcEntry{kind: f.kind, hash: f.hash, size: f.size}
-		e.elem = g.lru.PushFront(e)
-		g.entries[f.kind+"/"+f.hash] = e
-		g.total += f.size
-	}
-	return nil
-}
-
-// get returns the tracked entry for (kind, hash), creating a zero-size
-// placeholder at the LRU front if unknown. Caller holds g.mu.
-func (g *gcState) get(kind, hash string) *gcEntry {
-	key := kind + "/" + hash
-	e := g.entries[key]
-	if e == nil {
-		e = &gcEntry{kind: kind, hash: hash}
-		e.elem = g.lru.PushFront(e)
-		g.entries[key] = e
-	}
-	return e
-}
-
-// record notes a write (or an observed read) of size bytes and moves the
-// entry to the LRU front.
-func (g *gcState) record(kind, hash string, size int64) {
-	g.mu.Lock()
-	e := g.get(kind, hash)
-	g.total += size - e.size
-	e.size = size
-	g.lru.MoveToFront(e.elem)
-	over := g.total > g.opts.MaxBytes
-	g.mu.Unlock()
-	if over {
-		g.kickAsync()
-	}
-}
-
-// forget drops an entry from the index (caller deleted the file).
-func (g *gcState) forget(kind, hash string) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	key := kind + "/" + hash
-	if e := g.entries[key]; e != nil {
-		g.total -= e.size
-		g.lru.Remove(e.elem)
-		delete(g.entries, key)
-	}
+	return found, total, nil
 }
 
 // kickAsync requests a pass without blocking (coalesces with any pending
@@ -258,7 +173,7 @@ func (g *gcState) kickAsync() {
 // loop is the background eviction goroutine.
 func (g *gcState) loop() {
 	defer close(g.done)
-	t := time.NewTicker(g.opts.Interval)
+	t := time.NewTicker(gcInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -271,60 +186,39 @@ func (g *gcState) loop() {
 	}
 }
 
-// pass evicts LRU entries until the store is back under the low-water
-// mark. Pinned entries are skipped; a failed delete (including the
-// store.delete failpoint) is counted, skipped for this pass and retried
-// on the next one.
+// pass lists the directory and, when it is over budget, deletes entries
+// oldest mtime first until the listed total is at or below the low-water
+// mark (entries Put during the pass wait for the next one). A failed
+// delete (including the store.delete failpoint) is counted and skipped;
+// the next pass retries it.
 func (g *gcState) pass() {
+	g.passMu.Lock()
+	defer g.passMu.Unlock()
 	m := g.store.metrics
 	m.GCRuns.Inc()
-	g.mu.Lock()
-	over := g.total > g.opts.MaxBytes
-	g.mu.Unlock()
-	if !over {
+	entries, total, err := g.list()
+	if err != nil || total <= g.maxBytes {
 		return
 	}
-	low := int64(g.opts.LowWater * float64(g.opts.MaxBytes))
-	failed := make(map[*gcEntry]bool)
-	for {
-		g.mu.Lock()
-		if g.total <= low {
-			g.mu.Unlock()
+	low := int64(gcLowWater * float64(g.maxBytes))
+	for _, e := range entries {
+		if total <= low {
 			return
 		}
-		var victim *gcEntry
-		for el := g.lru.Back(); el != nil; el = el.Prev() {
-			e := el.Value.(*gcEntry)
-			if e.pins > 0 || failed[e] {
-				continue
-			}
-			victim = e
-			break
-		}
-		if victim == nil { // everything left is pinned or failed this pass
-			g.mu.Unlock()
-			return
-		}
-		// Delete under the lock so a Pin cannot race in between the
-		// decision and the unlink; concurrent Gets are lock-free and rely
-		// on whole-file read-vs-unlink atomicity instead.
 		err := faultinject.Hit(faultinject.PointStoreDelete)
 		if err == nil {
-			p := filepath.Join(g.store.dir, victim.kind, victim.hash)
-			if rmErr := os.Remove(p); rmErr != nil && !errors.Is(rmErr, os.ErrNotExist) {
-				err = rmErr
-			}
+			err = os.Remove(e.path)
 		}
-		if err != nil {
-			failed[victim] = true
-			g.mu.Unlock()
+		switch {
+		case errors.Is(err, os.ErrNotExist):
+			// Deleted concurrently; that remover took it off the count.
+			total -= e.size
+		case err != nil:
 			m.GCErrors.Inc()
-			continue
+		default:
+			total -= e.size
+			g.bytes.Add(-e.size)
+			m.GCEvictions.Inc()
 		}
-		g.total -= victim.size
-		g.lru.Remove(victim.elem)
-		delete(g.entries, victim.kind+"/"+victim.hash)
-		g.mu.Unlock()
-		m.GCEvictions.Inc()
 	}
 }

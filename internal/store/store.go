@@ -27,6 +27,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/metrics"
@@ -170,8 +171,7 @@ func (s *Store) Get(kind, hash string) ([]byte, error) {
 	}
 	if err != nil {
 		if errors.Is(err, faultinject.ErrInjected) {
-			os.Remove(p)
-			s.gcForget(kind, hash)
+			s.remove(p)
 			s.metrics.Reads.WithLabelValues("corrupt").Inc()
 			return nil, fmt.Errorf("%w: %s/%s: %v", ErrCorrupt, kind, hash, err)
 		}
@@ -182,28 +182,19 @@ func (s *Store) Get(kind, hash string) ([]byte, error) {
 	if err != nil {
 		// Never trust a bad entry: delete it so the recompute's Put
 		// replaces it, and the corruption can't resurface.
-		os.Remove(p)
-		s.gcForget(kind, hash)
+		s.remove(p)
 		s.metrics.Reads.WithLabelValues("corrupt").Inc()
 		return nil, fmt.Errorf("%w: %s/%s: %v", ErrCorrupt, kind, hash, err)
 	}
-	s.gcTouch(kind, hash, int64(len(raw)))
+	if s.gc.Load() != nil {
+		// The mtime is the GC's recency: a hit makes the entry the most
+		// recently used one, across restarts too. A failed bump (the
+		// entry was evicted meanwhile) costs only recency.
+		now := time.Now()
+		_ = os.Chtimes(p, now, now)
+	}
 	s.metrics.Reads.WithLabelValues("hit").Inc()
 	return payload, nil
-}
-
-// gcTouch marks an entry as recently used in the GC index, if enabled.
-func (s *Store) gcTouch(kind, hash string, size int64) {
-	if g := s.gc.Load(); g != nil {
-		g.record(kind, hash, size)
-	}
-}
-
-// gcForget drops an entry from the GC index, if enabled.
-func (s *Store) gcForget(kind, hash string) {
-	if g := s.gc.Load(); g != nil {
-		g.forget(kind, hash)
-	}
 }
 
 // Put stores payload under (kind, hash) atomically: temp file, fsync,
@@ -214,7 +205,7 @@ func (s *Store) Put(kind, hash string, payload []byte) error {
 		s.metrics.Writes.WithLabelValues("error").Inc()
 		return err
 	}
-	s.gcTouch(kind, hash, int64(12+len(payload)))
+	s.gcAdd(int64(12 + len(payload)))
 	s.metrics.Writes.WithLabelValues("ok").Inc()
 	return nil
 }
@@ -265,10 +256,26 @@ func (s *Store) Delete(kind, hash string) error {
 	if err != nil {
 		return err
 	}
-	if err := os.Remove(p); err != nil && !errors.Is(err, os.ErrNotExist) {
+	if err := s.remove(p); err != nil && !errors.Is(err, os.ErrNotExist) {
 		return fmt.Errorf("store: delete %s/%s: %w", kind, hash, err)
 	}
-	s.gcForget(kind, hash)
+	return nil
+}
+
+// remove deletes the entry file at p and, under GC, takes its size off
+// the byte count (a race with a concurrent Put or pass is corrected by the
+// next listing).
+func (s *Store) remove(p string) error {
+	var size int64
+	if s.gc.Load() != nil {
+		if info, err := os.Stat(p); err == nil {
+			size = info.Size()
+		}
+	}
+	if err := os.Remove(p); err != nil {
+		return err
+	}
+	s.gcAdd(-size)
 	return nil
 }
 

@@ -186,15 +186,17 @@ total_rows="$(wc -l < "$workdir/baseline.ndjson")"
 echo "crash smoke OK: kill -9 after $rows cells, resume replayed ${replayed%.*} and produced $total_rows byte-identical canonical rows (journal recoveries=${recoveries%.*}, store hits=${store_hits%.*})"
 
 # Disk-pressure phase: the same journaled sweep under an artifact budget
-# well below the working set (the flock 3..10 stable artifacts alone are
-# ~6.5KB). The GC must evict under pressure while the sweep completes to
-# the same canonical bytes — governance degrades cache hits, never
-# correctness. The planted family index is the coldest entry, so it goes
-# first.
+# below the working set (the flock 3..10 stable artifacts take ~11KB, the
+# largest ~3.7KB), yet above several artifacts, so the GC must keep the
+# most recently used ones rather than thrash the store to empty. The sweep
+# completes to the same canonical bytes — governance degrades cache hits,
+# never correctness. The planted family index is the coldest entry, so it
+# goes first.
+gc_budget=8192
 gc_family_key="$(plant_family_index "$workdir/artifacts-gc")"
 "$workdir/ppserve" -coordinator -addr 127.0.0.1:0 \
   -journal-dir "$workdir/journal-gc" -artifact-dir "$workdir/artifacts-gc" \
-  -artifact-max-bytes 2048 \
+  -artifact-max-bytes "$gc_budget" \
   > "$workdir/gc.log" 2>&1 &
 pids+=($!)
 gcurl="http://$(wait_listen "$workdir/gc.log")"
@@ -204,7 +206,23 @@ if ! diff -u "$workdir/baseline.ndjson" "$workdir/pressured.ndjson"; then
   echo "FAIL: canonical NDJSON diverges under artifact-store GC pressure" >&2
   exit 1
 fi
-gcmetrics="$(curl -sf "$gcurl/metrics")"
+# The last write-through may have kicked a pass that is still running:
+# poll until the store is back within budget but not empty.
+gc_bytes=0
+for _ in $(seq 1 100); do
+  gcmetrics="$(curl -sf "$gcurl/metrics")"
+  gc_bytes="$(awk '/^pp_store_gc_bytes/ {print $2}' <<< "$gcmetrics")"
+  gc_bytes="${gc_bytes:-0}"
+  if [ "${gc_bytes%.*}" -gt 0 ] && [ "${gc_bytes%.*}" -le "$gc_budget" ]; then
+    break
+  fi
+  sleep 0.1
+done
+if [ "${gc_bytes%.*}" -le 0 ] || [ "${gc_bytes%.*}" -gt "$gc_budget" ]; then
+  echo "FAIL: pp_store_gc_bytes=${gc_bytes}, want within (0, $gc_budget]" >&2
+  grep '^pp_store' <<< "$gcmetrics" >&2 || true
+  exit 1
+fi
 evictions="$(awk '/^pp_store_gc_evictions_total/ {print $2}' <<< "$gcmetrics")"
 evictions="${evictions:-0}"
 if [ "${evictions%.*}" -lt 1 ]; then
@@ -216,5 +234,4 @@ if [ -e "$workdir/artifacts-gc/family/$gc_family_key" ]; then
   echo "FAIL: store GC left the old family index in place" >&2
   exit 1
 fi
-gc_bytes="$(awk '/^pp_store_gc_bytes/ {print $2}' <<< "$gcmetrics")"
-echo "disk-pressure smoke OK: sweep byte-identical under a 2048-byte artifact budget (evictions=${evictions%.*}, tracked bytes=${gc_bytes:-?})"
+echo "disk-pressure smoke OK: sweep byte-identical under a ${gc_budget}-byte artifact budget (evictions=${evictions%.*}, store bytes=${gc_bytes%.*})"
